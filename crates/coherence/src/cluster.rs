@@ -4,7 +4,7 @@
 //! top; the tests here exercise the protocols directly.
 
 use crate::home::{HomeConfig, HomeCtrl, HomeMemImage, HomeStats};
-use crate::msg::Msg;
+use crate::msg::{AddrReq, Msg};
 use crate::node::{CacheNode, NodeConfig, Protocol};
 use crate::proc::{CacheStats, ProcReq, ProcResp};
 use dvmc_core::violation::Violation;
@@ -87,39 +87,118 @@ pub struct Cluster {
     nodes: Vec<CacheNode>,
     homes: Vec<HomeCtrl>,
     data_net: Torus<Msg>,
-    addr_net: Option<BroadcastTree<crate::msg::AddrReq>>,
+    addr_net: Option<BroadcastTree<AddrReq>>,
     violations: Vec<Violation>,
     now: Cycle,
     scrub_period: u64,
     checker_bytes: u64,
     ber_bytes: u64,
-    // Dirty-part flags for log-based incremental checkpointing: which
-    // parts of the memory system may have mutated since the flags were
-    // last cleared. Conservative (a spurious `true` only costs log bytes,
-    // never correctness); cleared by the checkpoint layer after each
-    // capture.
-    node_dirty: Vec<bool>,
-    home_dirty: Vec<bool>,
-    home_mem_dirty: Vec<bool>,
-    data_net_dirty: bool,
-    addr_net_dirty: bool,
+    dirty: DirtySet,
 }
 
-/// Which memory-system parts mutated since the flags were last cleared
-/// (log-based incremental checkpointing).
-#[derive(Clone, Debug)]
-pub struct DirtyParts {
-    /// Per-node cache-controller flags.
-    pub nodes: Vec<bool>,
-    /// Per-node home-controller flags (memory array excluded).
-    pub homes: Vec<bool>,
-    /// Per-node home memory-array flags.
-    pub home_mems: Vec<bool>,
-    /// Data-network (torus) flag.
-    pub data_net: bool,
-    /// Address-network (broadcast tree) flag; always `false` under the
-    /// directory protocol.
-    pub addr_net: bool,
+/// One independently checkpointable part of the memory system
+/// (log-based incremental checkpointing). The node index is the part's
+/// owning node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum PartId {
+    /// A cache controller.
+    Node(usize),
+    /// A home controller, memory array excluded.
+    HomeCtrl(usize),
+    /// A home's memory array.
+    HomeMem(usize),
+    /// The data network, in-flight traffic included.
+    DataNet,
+    /// The address network (snooping only).
+    AddrNet,
+}
+
+/// A captured copy of one memory-system part.
+#[derive(Clone)]
+pub enum PartImage {
+    /// See [`PartId::Node`].
+    Node(usize, CacheNode),
+    /// See [`PartId::HomeCtrl`]; a memory-stripped controller.
+    HomeCtrl(usize, HomeCtrl),
+    /// See [`PartId::HomeMem`].
+    HomeMem(usize, HomeMemImage),
+    /// See [`PartId::DataNet`].
+    DataNet(Torus<Msg>),
+    /// See [`PartId::AddrNet`].
+    AddrNet(BroadcastTree<AddrReq>),
+}
+
+impl PartImage {
+    /// The part this image captures.
+    pub fn id(&self) -> PartId {
+        match self {
+            PartImage::Node(i, _) => PartId::Node(*i),
+            PartImage::HomeCtrl(i, _) => PartId::HomeCtrl(*i),
+            PartImage::HomeMem(i, _) => PartId::HomeMem(*i),
+            PartImage::DataNet(_) => PartId::DataNet,
+            PartImage::AddrNet(_) => PartId::AddrNet,
+        }
+    }
+
+    /// Approximate serialized size, in bytes (checkpoint accounting).
+    pub fn approx_bytes(&self) -> u64 {
+        match self {
+            PartImage::Node(_, node) => node.approx_state_bytes(),
+            PartImage::HomeCtrl(_, home) => home.approx_ctrl_bytes(),
+            PartImage::HomeMem(_, mem) => mem.approx_bytes(),
+            PartImage::DataNet(net) => net.approx_state_bytes(),
+            PartImage::AddrNet(tree) => tree.approx_state_bytes(),
+        }
+    }
+}
+
+/// Which parts may have mutated since the set was last cleared, one flag
+/// per [`PartId`]. Conservative: a spurious flag only costs log bytes,
+/// never correctness.
+#[derive(Clone)]
+struct DirtySet {
+    nodes: usize,
+    flags: Vec<bool>,
+}
+
+impl DirtySet {
+    /// Every part of an `nodes`-node cluster, flagged dirty. (The
+    /// address-network flag exists under either protocol; only
+    /// [`Cluster::parts`] decides which parts are real.)
+    fn new(nodes: usize) -> Self {
+        let mut set = DirtySet {
+            nodes,
+            flags: Vec::new(),
+        };
+        set.flags = vec![true; set.slot(PartId::AddrNet) + 1];
+        set
+    }
+
+    /// The flag index of `id`: every kind's parts are contiguous, in
+    /// [`PartId`] declaration order.
+    fn slot(&self, id: PartId) -> usize {
+        let n = self.nodes;
+        match id {
+            PartId::Node(i) => i,
+            PartId::HomeCtrl(i) => n + i,
+            PartId::HomeMem(i) => 2 * n + i,
+            PartId::DataNet => 3 * n,
+            PartId::AddrNet => 3 * n + 1,
+        }
+    }
+
+    fn get(&self, id: PartId) -> bool {
+        self.flags[self.slot(id)]
+    }
+
+    fn mark_if(&mut self, id: PartId, mutated: bool) {
+        let slot = self.slot(id);
+        self.flags[slot] |= mutated;
+    }
+
+    fn mark(&mut self, id: PartId) {
+        self.mark_if(id, true);
+    }
 }
 
 impl Cluster {
@@ -142,11 +221,7 @@ impl Cluster {
             scrub_period: 1024,
             checker_bytes: 0,
             ber_bytes: 0,
-            node_dirty: vec![true; cfg.nodes],
-            home_dirty: vec![true; cfg.nodes],
-            home_mem_dirty: vec![true; cfg.nodes],
-            data_net_dirty: true,
-            addr_net_dirty: cfg.protocol == Protocol::Snooping,
+            dirty: DirtySet::new(cfg.nodes),
             cfg,
         }
     }
@@ -155,7 +230,7 @@ impl Cluster {
     /// accounting only; the payload is ignored at the destination).
     pub fn send_ber(&mut self, src: NodeId, dst: NodeId, bytes: u32) {
         self.ber_bytes += bytes as u64;
-        self.data_net_dirty = true;
+        self.dirty.mark(PartId::DataNet);
         let now = self.now;
         self.data_net.send(src, dst, Msg::Ber { bytes }, bytes, now);
     }
@@ -178,7 +253,7 @@ impl Cluster {
     /// Initializes a memory word at its home node (workload setup).
     pub fn poke_word(&mut self, addr: WordAddr, value: u64) {
         let home = addr.block().home(self.cfg.nodes);
-        self.home_mem_dirty[home.index()] = true;
+        self.dirty.mark(PartId::HomeMem(home.index()));
         self.homes[home.index()].poke_word(addr, value);
     }
 
@@ -213,21 +288,21 @@ impl Cluster {
 
     /// Submits a processor request at `node`.
     pub fn submit(&mut self, node: NodeId, req: ProcReq) {
-        self.node_dirty[node.index()] = true;
+        self.dirty.mark(PartId::Node(node.index()));
         self.nodes[node.index()].submit(req);
     }
 
     /// Pops a completed response at `node`.
     pub fn pop_resp(&mut self, node: NodeId) -> Option<ProcResp> {
         let resp = self.nodes[node.index()].pop_resp();
-        self.node_dirty[node.index()] |= resp.is_some();
+        self.dirty.mark_if(PartId::Node(node.index()), resp.is_some());
         resp
     }
 
     /// Drains the blocks invalidated at `node` since the last call.
     pub fn drain_invalidated(&mut self, node: NodeId) -> Vec<BlockAddr> {
         let blocks = self.nodes[node.index()].drain_invalidated();
-        self.node_dirty[node.index()] |= !blocks.is_empty();
+        self.dirty.mark_if(PartId::Node(node.index()), !blocks.is_empty());
         blocks
     }
 
@@ -237,10 +312,10 @@ impl Cluster {
         // 1. Networks move. A network with traffic in flight mutates; an
         // idle one is a pure no-op (dirty flags feed the incremental
         // checkpoint log).
-        self.data_net_dirty |= !self.data_net.is_quiescent();
+        self.dirty.mark_if(PartId::DataNet, !self.data_net.is_quiescent());
         self.data_net.tick(now);
         if let Some(tree) = self.addr_net.as_mut() {
-            self.addr_net_dirty |= !tree.is_quiescent();
+            self.dirty.mark_if(PartId::AddrNet, !tree.is_quiescent());
             tree.tick(now);
         }
         // 2. Deliveries. A delivered message can be fully consumed within
@@ -249,20 +324,20 @@ impl Cluster {
         for i in 0..self.cfg.nodes {
             let node_id = NodeId(i as u8);
             while let Some(msg) = self.data_net.recv(node_id) {
-                self.data_net_dirty = true;
+                self.dirty.mark(PartId::DataNet);
                 if home_bound(&msg) {
-                    self.home_dirty[i] = true;
+                    self.dirty.mark(PartId::HomeCtrl(i));
                     self.homes[i].deliver(msg);
                 } else {
-                    self.node_dirty[i] = true;
+                    self.dirty.mark(PartId::Node(i));
                     self.nodes[i].deliver(msg);
                 }
             }
             if let Some(tree) = self.addr_net.as_mut() {
                 while let Some((order, req)) = tree.recv(node_id) {
-                    self.addr_net_dirty = true;
-                    self.node_dirty[i] = true;
-                    self.home_dirty[i] = true;
+                    self.dirty.mark(PartId::AddrNet);
+                    self.dirty.mark(PartId::Node(i));
+                    self.dirty.mark(PartId::HomeCtrl(i));
                     self.nodes[i].deliver_snoop(order, req);
                     self.homes[i].deliver_snoop(order, req);
                 }
@@ -273,17 +348,17 @@ impl Cluster {
         // watermark drain), a home whose periodic MET scrub fired, and a
         // node whose CET scrub fired.
         for (i, home) in self.homes.iter_mut().enumerate() {
-            self.home_dirty[i] |= !home.is_quiescent() || home.queued() > 0;
+            self.dirty.mark_if(PartId::HomeCtrl(i), !home.is_quiescent() || home.queued() > 0);
             let scrubbed = home.tick(now);
-            self.home_dirty[i] |= scrubbed || !home.is_quiescent();
-            self.home_mem_dirty[i] |= home.take_mem_dirty();
+            self.dirty.mark_if(PartId::HomeCtrl(i), scrubbed || !home.is_quiescent());
+            self.dirty.mark_if(PartId::HomeMem(i), home.take_mem_dirty());
         }
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            self.node_dirty[i] |= !node.is_quiescent();
+            self.dirty.mark_if(PartId::Node(i), !node.is_quiescent());
             node.tick(now);
-            self.node_dirty[i] |= !node.is_quiescent();
+            self.dirty.mark_if(PartId::Node(i), !node.is_quiescent());
             if now.is_multiple_of(self.scrub_period) {
-                self.node_dirty[i] |= node.scrub();
+                self.dirty.mark_if(PartId::Node(i), node.scrub());
             }
         }
         // 4. Outbound messages enter the networks.
@@ -294,21 +369,21 @@ impl Cluster {
                 if out.msg.is_checker() {
                     self.checker_bytes += bytes as u64;
                 }
-                self.data_net_dirty = true;
-                self.node_dirty[i] = true;
+                self.dirty.mark(PartId::DataNet);
+                self.dirty.mark(PartId::Node(i));
                 self.data_net.send(src, out.dst, out.msg, bytes, now);
             }
             while let Some(out) = self.homes[i].pop_msg() {
                 let bytes = out.msg.bytes();
-                self.data_net_dirty = true;
-                self.home_dirty[i] = true;
+                self.dirty.mark(PartId::DataNet);
+                self.dirty.mark(PartId::HomeCtrl(i));
                 self.data_net.send(src, out.dst, out.msg, bytes, now);
             }
             if let Some(tree) = self.addr_net.as_mut() {
                 while let Some(req) = self.nodes[i].pop_addr_req() {
                     let bytes = req.bytes();
-                    self.addr_net_dirty = true;
-                    self.node_dirty[i] = true;
+                    self.dirty.mark(PartId::AddrNet);
+                    self.dirty.mark(PartId::Node(i));
                     tree.send(src, req, bytes, now);
                 }
             }
@@ -375,76 +450,53 @@ impl Cluster {
         self.scrub_period
     }
 
-    /// Snapshot of the dirty-part flags (incremental checkpointing).
-    pub fn dirty_parts(&self) -> DirtyParts {
-        DirtyParts {
-            nodes: self.node_dirty.clone(),
-            homes: self.home_dirty.clone(),
-            home_mems: self.home_mem_dirty.clone(),
-            data_net: self.data_net_dirty,
-            addr_net: self.addr_net_dirty,
+    /// Every checkpointable part of this cluster, in a fixed order.
+    pub fn parts(&self) -> impl Iterator<Item = PartId> {
+        let n = self.cfg.nodes;
+        (0..n)
+            .map(PartId::Node)
+            .chain((0..n).map(PartId::HomeCtrl))
+            .chain((0..n).map(PartId::HomeMem))
+            .chain([PartId::DataNet])
+            .chain(self.addr_net.is_some().then_some(PartId::AddrNet))
+    }
+
+    /// The parts that may have mutated since the last
+    /// [`clear_dirty`](Self::clear_dirty), in [`parts`](Self::parts)
+    /// order.
+    pub fn dirty_parts(&self) -> impl Iterator<Item = PartId> + '_ {
+        self.parts().filter(|&id| self.dirty.get(id))
+    }
+
+    /// Marks every part clean (after a checkpoint capture or a rollback
+    /// restore).
+    pub fn clear_dirty(&mut self) {
+        self.dirty.flags.fill(false);
+    }
+
+    /// Captures one part.
+    pub fn image(&self, id: PartId) -> PartImage {
+        match id {
+            PartId::Node(i) => PartImage::Node(i, self.nodes[i].clone()),
+            PartId::HomeCtrl(i) => PartImage::HomeCtrl(i, self.homes[i].ctrl_image()),
+            PartId::HomeMem(i) => PartImage::HomeMem(i, self.homes[i].mem_image()),
+            PartId::DataNet => PartImage::DataNet(self.data_net.clone()),
+            PartId::AddrNet => PartImage::AddrNet(
+                self.addr_net.as_ref().expect("only snooping clusters have an address network").clone(),
+            ),
         }
     }
 
-    /// Clears every dirty-part flag (after a checkpoint capture or a
-    /// rollback restore).
-    pub fn clear_dirty(&mut self) {
-        self.node_dirty.fill(false);
-        self.home_dirty.fill(false);
-        self.home_mem_dirty.fill(false);
-        self.data_net_dirty = false;
-        self.addr_net_dirty = false;
-    }
-
-    /// Captures one cache controller (incremental checkpointing).
-    pub fn node_image(&self, node: NodeId) -> CacheNode {
-        self.nodes[node.index()].clone()
-    }
-
-    /// Restores one cache controller from an image.
-    pub fn restore_node(&mut self, node: NodeId, image: &CacheNode) {
-        self.nodes[node.index()] = image.clone();
-    }
-
-    /// Captures one home controller, memory array excluded.
-    pub fn home_ctrl_image(&self, node: NodeId) -> HomeCtrl {
-        self.homes[node.index()].ctrl_image()
-    }
-
-    /// Restores one home controller from a memory-stripped image, keeping
-    /// the resident memory array.
-    pub fn restore_home_ctrl(&mut self, node: NodeId, image: &HomeCtrl) {
-        self.homes[node.index()].restore_ctrl(image);
-    }
-
-    /// Captures one home's memory array.
-    pub fn home_mem_image(&self, node: NodeId) -> HomeMemImage {
-        self.homes[node.index()].mem_image()
-    }
-
-    /// Restores one home's memory array from an image.
-    pub fn restore_home_mem(&mut self, node: NodeId, image: &HomeMemImage) {
-        self.homes[node.index()].restore_mem(image);
-    }
-
-    /// Captures the data network, in-flight traffic included.
-    pub fn data_net_image(&self) -> Torus<Msg> {
-        self.data_net.clone()
-    }
-
-    /// Restores the data network from an image.
-    pub fn restore_data_net(&mut self, image: &Torus<Msg>) {
-        self.data_net = image.clone();
-    }
-
-    /// Captures the address network (snooping only).
-    pub fn addr_net_image(&self) -> Option<BroadcastTree<crate::msg::AddrReq>> {
-        self.addr_net.clone()
-    }
-
-    /// Restores the address network from an image.
-    pub fn restore_addr_net(&mut self, image: &Option<BroadcastTree<crate::msg::AddrReq>>) {
-        self.addr_net = image.clone();
+    /// Restores one part from an image. A home-controller image keeps the
+    /// resident memory array; a memory image keeps the controller.
+    pub fn restore(&mut self, image: &PartImage) {
+        match image {
+            PartImage::Node(i, node) => self.nodes[*i] = node.clone(),
+            PartImage::HomeCtrl(i, home) => self.homes[*i].restore_ctrl(home),
+            PartImage::HomeMem(i, mem) => self.homes[*i].restore_mem(mem),
+            PartImage::DataNet(net) => self.data_net = net.clone(),
+            PartImage::AddrNet(tree) => self.addr_net = Some(tree.clone()),
+        }
     }
 
     /// Approximate serialized size of the whole memory system, in bytes
@@ -530,14 +582,14 @@ impl Cluster {
     /// Mutable access to the data network (fault arming). Conservatively
     /// marks the network dirty for incremental checkpointing.
     pub fn data_net_mut(&mut self) -> &mut Torus<Msg> {
-        self.data_net_dirty = true;
+        self.dirty.mark(PartId::DataNet);
         &mut self.data_net
     }
 
     /// Mutable access to a cache controller (fault injection).
     /// Conservatively marks the node dirty for incremental checkpointing.
     pub fn node_mut(&mut self, node: NodeId) -> &mut CacheNode {
-        self.node_dirty[node.index()] = true;
+        self.dirty.mark(PartId::Node(node.index()));
         &mut self.nodes[node.index()]
     }
 
@@ -545,8 +597,8 @@ impl Cluster {
     /// Conservatively marks both home parts dirty for incremental
     /// checkpointing.
     pub fn home_mut(&mut self, node: NodeId) -> &mut HomeCtrl {
-        self.home_dirty[node.index()] = true;
-        self.home_mem_dirty[node.index()] = true;
+        self.dirty.mark(PartId::HomeCtrl(node.index()));
+        self.dirty.mark(PartId::HomeMem(node.index()));
         &mut self.homes[node.index()]
     }
 
@@ -554,11 +606,11 @@ impl Cluster {
     /// (observability; disabled by default).
     pub fn enable_obs(&mut self, capacity: usize) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            self.node_dirty[i] = true;
+            self.dirty.mark(PartId::Node(i));
             node.enable_obs(capacity);
         }
         for (i, home) in self.homes.iter_mut().enumerate() {
-            self.home_dirty[i] = true;
+            self.dirty.mark(PartId::HomeCtrl(i));
             home.enable_obs(capacity);
         }
     }

@@ -28,7 +28,7 @@ pub mod probe;
 pub mod proc;
 
 pub use cache::{CacheArray, Line, Mosi};
-pub use cluster::{Cluster, ClusterConfig, DirtyParts};
+pub use cluster::{Cluster, ClusterConfig, PartId, PartImage};
 pub use home::{HomeBusyKind, HomeConfig, HomeCtrl, HomeMemImage, HomeStats};
 pub use msg::{AddrReq, Msg, Outbound, SnoopKind};
 pub use probe::{home_bound, Relabel};

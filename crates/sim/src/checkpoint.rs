@@ -23,11 +23,10 @@
 //! always reflects the machine just before the oldest retained entry.
 
 use crate::system::Snapshot;
-use dvmc_coherence::{AddrReq, CacheNode, HomeCtrl, HomeMemImage, Msg};
-use dvmc_interconnect::{BroadcastTree, Torus};
+use dvmc_coherence::PartImage;
 use dvmc_pipeline::Core;
 use dvmc_types::rng::DetRng;
-use dvmc_types::{Cycle, NodeId};
+use dvmc_types::Cycle;
 
 /// Small, cheap state that mutates nearly every cycle and therefore rides
 /// in **every** delta rather than being dirty-tracked: the fault-injection
@@ -41,16 +40,13 @@ pub(crate) struct Misc {
     pub ber_bytes: u64,
 }
 
-/// One incremental checkpoint: the machine parts that may have mutated
-/// since the previous capture, each tagged with its node index.
+/// One incremental checkpoint: the cores (tagged with their node index)
+/// and the memory-system parts that may have mutated since the previous
+/// capture.
 #[derive(Clone)]
 pub(crate) struct Delta {
     pub cores: Vec<(usize, Core)>,
-    pub nodes: Vec<(usize, CacheNode)>,
-    pub home_ctrls: Vec<(usize, HomeCtrl)>,
-    pub home_mems: Vec<(usize, HomeMemImage)>,
-    pub data_net: Option<Torus<Msg>>,
-    pub addr_net: Option<Option<BroadcastTree<AddrReq>>>,
+    pub parts: Vec<PartImage>,
     pub misc: Misc,
 }
 
@@ -60,11 +56,7 @@ impl Delta {
     pub fn empty(misc: Misc) -> Self {
         Delta {
             cores: Vec::new(),
-            nodes: Vec::new(),
-            home_ctrls: Vec::new(),
-            home_mems: Vec::new(),
-            data_net: None,
-            addr_net: None,
+            parts: Vec::new(),
             misc,
         }
     }
@@ -72,27 +64,14 @@ impl Delta {
     /// Approximate serialized size of this delta, in bytes.
     pub fn approx_bytes(&self) -> u64 {
         let cores: u64 = self.cores.iter().map(|(_, c)| c.approx_state_bytes()).sum();
-        let nodes: u64 = self.nodes.iter().map(|(_, n)| n.approx_state_bytes()).sum();
-        let ctrls: u64 = self.home_ctrls.iter().map(|(_, h)| h.approx_ctrl_bytes()).sum();
-        let mems: u64 = self.home_mems.iter().map(|(_, m)| m.approx_bytes()).sum();
-        let data = self.data_net.as_ref().map_or(0, Torus::approx_state_bytes);
-        let addr = self
-            .addr_net
-            .as_ref()
-            .and_then(Option::as_ref)
-            .map_or(0, BroadcastTree::approx_state_bytes);
+        let parts: u64 = self.parts.iter().map(PartImage::approx_bytes).sum();
         let misc = (std::mem::size_of::<Misc>() + self.misc.progress.len() * 16) as u64;
-        cores + nodes + ctrls + mems + data + addr + misc
+        cores + parts + misc
     }
 
-    /// Number of captured parts (cost accounting).
+    /// Number of captured parts, cores included (cost accounting).
     pub fn parts(&self) -> u64 {
-        (self.cores.len()
-            + self.nodes.len()
-            + self.home_ctrls.len()
-            + self.home_mems.len()
-            + usize::from(self.data_net.is_some())
-            + usize::from(self.addr_net.is_some())) as u64
+        (self.cores.len() + self.parts.len()) as u64
     }
 
     /// Folds this (just-evicted, oldest) delta into `base`, which then
@@ -104,20 +83,8 @@ impl Delta {
             base.cores[*i] = core.clone();
             base_core_at[*i] = taken_at;
         }
-        for (i, node) in &self.nodes {
-            base.cluster.restore_node(NodeId(*i as u8), node);
-        }
-        for (i, ctrl) in &self.home_ctrls {
-            base.cluster.restore_home_ctrl(NodeId(*i as u8), ctrl);
-        }
-        for (i, mem) in &self.home_mems {
-            base.cluster.restore_home_mem(NodeId(*i as u8), mem);
-        }
-        if let Some(net) = &self.data_net {
-            base.cluster.restore_data_net(net);
-        }
-        if let Some(net) = &self.addr_net {
-            base.cluster.restore_addr_net(net);
+        for part in &self.parts {
+            base.cluster.restore(part);
         }
         base.rng = self.misc.rng.clone();
         base.progress = self.misc.progress.clone();
@@ -148,13 +115,11 @@ impl MachineCheckpoint {
     }
 
     /// Number of machine parts this checkpoint captured (cost accounting;
-    /// a whole snapshot captures everything: per node a core, a cache
-    /// controller, a home controller, and a home memory, plus both
-    /// networks).
+    /// a whole snapshot captures every part).
     pub fn parts(&self) -> u64 {
         match self {
             MachineCheckpoint::Unarmed => 0,
-            MachineCheckpoint::Whole(snap) => snap.cores.len() as u64 * 4 + 2,
+            MachineCheckpoint::Whole(snap) => snap.parts(),
             MachineCheckpoint::Delta(delta) => delta.parts(),
         }
     }

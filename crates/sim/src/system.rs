@@ -8,7 +8,7 @@ use crate::report::{
     RunReport, ServiceReport, ServiceStop, WindowSnapshot,
 };
 use dvmc_ber::{Checkpoint, SafetyNet};
-use dvmc_coherence::Cluster;
+use dvmc_coherence::{Cluster, PartId, PartImage};
 use dvmc_consistency::Model;
 use dvmc_core::{
     CheckerEvent, CoherenceViolation, EventSink, MetricsWindow, ObsMetrics, ObsRing, TimedEvent,
@@ -20,7 +20,7 @@ use dvmc_types::rng::{det_rng, derive_seed, DetRng};
 use dvmc_types::{Cycle, NodeId};
 use dvmc_workloads::spec::build_streams;
 use rand::Rng;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Everything a rollback must restore: the architectural and
 /// microarchitectural state of every core (ROBs, write buffers, checkers,
@@ -43,6 +43,11 @@ impl Snapshot {
         self.cores.iter().map(Core::approx_state_bytes).sum::<u64>()
             + self.cluster.approx_state_bytes()
             + (std::mem::size_of::<DetRng>() + self.progress.len() * 16) as u64
+    }
+
+    /// Number of machine parts: every core plus every memory-system part.
+    pub(crate) fn parts(&self) -> u64 {
+        (self.cores.len() + self.cluster.parts().count()) as u64
     }
 }
 
@@ -306,23 +311,8 @@ impl System {
         // never embeds it (`recovery_point` admits checkpoints with
         // `taken_at <= error_time`; the reorder is behaviourally neutral
         // otherwise — the injection RNG only advances once the fault is
-        // due, and BER traffic is excluded from network faults). The
-        // coordination bytes are sent inside the capture closure so the
-        // checkpoint includes them and a restored run resumes exactly
-        // after the checkpoint.
-        if let Some(mut ber) = self.ber.take() {
-            let bytes = ber.config().coordination_bytes;
-            let nodes = self.cfg.nodes;
-            let reclaimed = ber.tick_with_reclaimed(now, || {
-                for i in 1..nodes {
-                    self.cluster.send_ber(nid(i), NodeId(0), bytes);
-                    self.cluster.send_ber(NodeId(0), nid(i), bytes);
-                }
-                self.checkpoint_payload()
-            });
-            self.ber = Some(ber);
-            self.fold_reclaimed(reclaimed);
-        }
+        // due, and BER traffic is excluded from network faults).
+        self.take_checkpoint(now);
         self.maybe_inject_fault(now);
         // Cores interact with their caches. Invalidations are noted
         // before responses are delivered: a response and the invalidation
@@ -385,31 +375,37 @@ impl System {
         payload
     }
 
+    /// Runs the BER cadence at cycle `at`: when a checkpoint is due, sends
+    /// the coordination traffic and captures it inside the checkpoint (so
+    /// a restored run resumes exactly after the checkpoint), then folds
+    /// whatever the log evicted into the delta-log base.
+    fn take_checkpoint(&mut self, at: Cycle) {
+        let Some(mut ber) = self.ber.take() else {
+            return;
+        };
+        let bytes = ber.config().coordination_bytes;
+        let nodes = self.cfg.nodes;
+        let reclaimed = ber.tick_with_reclaimed(at, || {
+            for i in 1..nodes {
+                self.cluster.send_ber(nid(i), NodeId(0), bytes);
+                self.cluster.send_ber(NodeId(0), nid(i), bytes);
+            }
+            self.checkpoint_payload()
+        });
+        self.ber = Some(ber);
+        self.fold_reclaimed(reclaimed);
+    }
+
     /// Captures every part dirtied since the previous capture (plus the
     /// always-captured misc record) and clears the dirty flags.
     fn capture_delta(&mut self) -> Delta {
-        let dirty = self.cluster.dirty_parts();
         let mut delta = Delta::empty(self.misc_image());
-        for i in 0..self.cfg.nodes {
+        for (i, core) in self.cores.iter().enumerate() {
             if self.core_dirty[i] {
-                delta.cores.push((i, self.cores[i].clone()));
-            }
-            if dirty.nodes[i] {
-                delta.nodes.push((i, self.cluster.node_image(nid(i))));
-            }
-            if dirty.homes[i] {
-                delta.home_ctrls.push((i, self.cluster.home_ctrl_image(nid(i))));
-            }
-            if dirty.home_mems[i] {
-                delta.home_mems.push((i, self.cluster.home_mem_image(nid(i))));
+                delta.cores.push((i, core.clone()));
             }
         }
-        if dirty.data_net {
-            delta.data_net = Some(self.cluster.data_net_image());
-        }
-        if dirty.addr_net {
-            delta.addr_net = Some(self.cluster.addr_net_image());
-        }
+        delta.parts = self.cluster.dirty_parts().map(|id| self.cluster.image(id)).collect();
         self.cluster.clear_dirty();
         self.core_dirty.fill(false);
         delta
@@ -1317,7 +1313,7 @@ impl System {
                 self.cluster = snap.cluster.clone();
                 self.rng = snap.rng.clone();
                 self.progress = snap.progress.clone();
-                self.ckpt_stats.parts_restored += 2 * self.cfg.nodes as u64 + 2;
+                self.ckpt_stats.parts_restored += snap.parts();
             }
             MachineCheckpoint::Delta(_) => self.restore_from_deltas(entries, idx, taken_at),
         }
@@ -1325,23 +1321,18 @@ impl System {
         true
     }
 
-    /// The newest delta at or before the recovery point that captured the
-    /// part `pick` selects, scanning `log` (entries up to and including
-    /// the recovery point) newest-first.
-    fn newest_part<'a, T>(
-        log: &'a [Checkpoint<MachineCheckpoint>],
-        pick: impl Fn(&'a Delta) -> Option<&'a T>,
-    ) -> Option<&'a T> {
-        log.iter().rev().find_map(|cp| match &cp.state {
-            MachineCheckpoint::Delta(d) => pick(d),
+    /// The deltas in `log`, newest first, with their capture cycles.
+    fn deltas(log: &[Checkpoint<MachineCheckpoint>]) -> impl Iterator<Item = (Cycle, &Delta)> {
+        log.iter().rev().filter_map(|cp| match &cp.state {
+            MachineCheckpoint::Delta(d) => Some((cp.taken_at, d.as_ref())),
             _ => None,
         })
     }
 
     /// Delta-log rollback: undo-replay reconstruction at `taken_at`.
     ///
-    /// The parts that must be restored are those touched after the
-    /// recovery point — captured by a younger (poisoned) delta or dirtied
+    /// The parts that must be restored are the poisoned ones: touched
+    /// after the recovery point — captured by a younger delta or dirtied
     /// since the newest capture. Each is restored from the newest delta at
     /// or before the recovery point that carries it, falling back to the
     /// base image. Cores are restored unconditionally: a clean idle core
@@ -1354,89 +1345,31 @@ impl System {
         idx: usize,
         taken_at: Cycle,
     ) {
-        let n = self.cfg.nodes;
-        let mut dirty = self.cluster.dirty_parts();
-        for cp in &entries[idx + 1..] {
-            if let MachineCheckpoint::Delta(d) = &cp.state {
-                for &(i, _) in &d.nodes {
-                    dirty.nodes[i] = true;
-                }
-                for &(i, _) in &d.home_ctrls {
-                    dirty.homes[i] = true;
-                }
-                for &(i, _) in &d.home_mems {
-                    dirty.home_mems[i] = true;
-                }
-                dirty.data_net |= d.data_net.is_some();
-                dirty.addr_net |= d.addr_net.is_some();
-            }
+        let mut poisoned: BTreeSet<PartId> = self.cluster.dirty_parts().collect();
+        for (_, d) in Self::deltas(&entries[idx + 1..]) {
+            poisoned.extend(d.parts.iter().map(PartImage::id));
         }
         let log = &entries[..=idx];
         let base = self.base.take().expect("delta log always has a base");
         // Cores: newest image at or before the recovery point, else base,
         // then catch up over the clean span.
-        for i in 0..n {
-            let mut image = &base.cores[i];
-            let mut image_at = self.base_core_at[i];
-            for cp in log.iter().rev() {
-                if let MachineCheckpoint::Delta(d) = &cp.state {
-                    if let Some((_, c)) = d.cores.iter().find(|&&(j, _)| j == i) {
-                        image = c;
-                        image_at = cp.taken_at;
-                        break;
-                    }
-                }
-            }
+        for i in 0..self.cfg.nodes {
+            let (image_at, image) = Self::deltas(log)
+                .find_map(|(at, d)| {
+                    let (_, core) = d.cores.iter().find(|&&(j, _)| j == i)?;
+                    Some((at, core))
+                })
+                .unwrap_or((self.base_core_at[i], &base.cores[i]));
             self.cores[i] = image.clone();
             let gap = taken_at.saturating_sub(image_at);
             self.cores[i].catch_up(gap);
             self.ckpt_stats.undo_replay_cycles += gap;
             self.ckpt_stats.parts_restored += 1;
         }
-        for i in 0..n {
-            if dirty.nodes[i] {
-                match Self::newest_part(log, |d| {
-                    d.nodes.iter().find(|&&(j, _)| j == i).map(|(_, x)| x)
-                }) {
-                    Some(img) => self.cluster.restore_node(nid(i), img),
-                    None => self.cluster.restore_node(nid(i), &base.cluster.node_image(nid(i))),
-                }
-                self.ckpt_stats.parts_restored += 1;
-            }
-            if dirty.homes[i] {
-                match Self::newest_part(log, |d| {
-                    d.home_ctrls.iter().find(|&&(j, _)| j == i).map(|(_, x)| x)
-                }) {
-                    Some(img) => self.cluster.restore_home_ctrl(nid(i), img),
-                    None => self
-                        .cluster
-                        .restore_home_ctrl(nid(i), &base.cluster.home_ctrl_image(nid(i))),
-                }
-                self.ckpt_stats.parts_restored += 1;
-            }
-            if dirty.home_mems[i] {
-                match Self::newest_part(log, |d| {
-                    d.home_mems.iter().find(|&&(j, _)| j == i).map(|(_, x)| x)
-                }) {
-                    Some(img) => self.cluster.restore_home_mem(nid(i), img),
-                    None => self
-                        .cluster
-                        .restore_home_mem(nid(i), &base.cluster.home_mem_image(nid(i))),
-                }
-                self.ckpt_stats.parts_restored += 1;
-            }
-        }
-        if dirty.data_net {
-            match Self::newest_part(log, |d| d.data_net.as_ref()) {
-                Some(img) => self.cluster.restore_data_net(img),
-                None => self.cluster.restore_data_net(&base.cluster.data_net_image()),
-            }
-            self.ckpt_stats.parts_restored += 1;
-        }
-        if dirty.addr_net {
-            match Self::newest_part(log, |d| d.addr_net.as_ref()) {
-                Some(img) => self.cluster.restore_addr_net(img),
-                None => self.cluster.restore_addr_net(&base.cluster.addr_net_image()),
+        for id in poisoned {
+            match Self::deltas(log).find_map(|(_, d)| d.parts.iter().find(|p| p.id() == id)) {
+                Some(image) => self.cluster.restore(image),
+                None => self.cluster.restore(&base.cluster.image(id)),
             }
             self.ckpt_stats.parts_restored += 1;
         }
@@ -1462,22 +1395,11 @@ impl System {
     /// next boundary, wherever the clock is) and returns the approximate
     /// bytes it logged. Zero when BER is off or recovery is unarmed.
     pub fn force_checkpoint(&mut self) -> u64 {
-        let Some(mut ber) = self.ber.take() else {
+        let Some(at) = self.ber.as_ref().map(SafetyNet::next_checkpoint_at) else {
             return 0;
         };
         let before = self.ckpt_stats.bytes_logged;
-        let at = ber.next_checkpoint_at();
-        let bytes = ber.config().coordination_bytes;
-        let nodes = self.cfg.nodes;
-        let reclaimed = ber.tick_with_reclaimed(at, || {
-            for i in 1..nodes {
-                self.cluster.send_ber(nid(i), NodeId(0), bytes);
-                self.cluster.send_ber(NodeId(0), nid(i), bytes);
-            }
-            self.checkpoint_payload()
-        });
-        self.ber = Some(ber);
-        self.fold_reclaimed(reclaimed);
+        self.take_checkpoint(at);
         self.ckpt_stats.bytes_logged - before
     }
 

@@ -35,16 +35,19 @@ fn fingerprint_sans_costs(report: &RunReport) -> String {
     format!("{r:?}")
 }
 
-fn build(
+/// Node count of the [`build`] configurations.
+const NODES: u64 = 2;
+
+fn builder(
     kernel: KernelMode,
     checkpoint: CheckpointMode,
     model: Model,
     protocol: Protocol,
     seed: u64,
     fault: Option<FaultPlan>,
-) -> dvmc_sim::System {
+) -> SystemBuilder {
     let mut b = SystemBuilder::new()
-        .nodes(2)
+        .nodes(NODES as usize)
         .model(model)
         .protocol(protocol)
         .workload(WorkloadKind::Jbb, 16)
@@ -57,7 +60,18 @@ fn build(
     if let Some(plan) = fault {
         b = b.fault(plan);
     }
-    b.build()
+    b
+}
+
+fn build(
+    kernel: KernelMode,
+    checkpoint: CheckpointMode,
+    model: Model,
+    protocol: Protocol,
+    seed: u64,
+    fault: Option<FaultPlan>,
+) -> dvmc_sim::System {
+    builder(kernel, checkpoint, model, protocol, seed, fault).build()
 }
 
 /// Every model × protocol, fault-free and with a recovering transient:
@@ -132,52 +146,83 @@ fn fault_categories_recover_identically_across_kernels() {
 
 /// The delta-log scheme restores exactly the machine the whole-snapshot
 /// scheme restores: same post-rollback trajectory, same digest, same
-/// report — only the capture/restore cost counters may differ.
+/// report — only the capture/restore cost counters may differ. Both
+/// protocols run, so the snooping address network is compared too, and
+/// at least one delta-log run rolls back after folding evicted deltas
+/// into its base image.
 #[test]
 fn delta_log_rollback_matches_whole_snapshot_rollback() {
     let mut total_rollbacks = 0;
-    for fault in [
-        Fault::WbCorruptValue { node: NodeId(1) },
-        Fault::MemoryBitFlip { node: NodeId(0) },
-        Fault::CacheStuckBit { node: NodeId(1) },
-    ] {
-        let plan = FaultPlan {
-            at_cycle: 6_000,
-            fault,
-        };
-        let run = |checkpoint| {
-            build(
-                KernelMode::Event,
-                checkpoint,
-                Model::Tso,
-                Protocol::Directory,
-                5,
-                Some(plan),
-            )
-            .run_to_completion(5_000_000)
-        };
-        let whole = run(CheckpointMode::Snapshot);
-        let delta = run(CheckpointMode::DeltaLog);
-        assert_eq!(
-            fingerprint_sans_costs(&whole),
-            fingerprint_sans_costs(&delta),
-            "{fault:?}"
-        );
-        // The schemes really did take different capture paths. (On a
-        // busy run like this one a delta can even exceed a snapshot —
-        // everything is dirty plus per-delta overhead; the size win is
-        // asserted on quiet traffic below.)
-        assert!(whole.checkpoint.snapshots_taken > 0);
-        assert_eq!(
-            delta.checkpoint.rollbacks, whole.checkpoint.rollbacks,
-            "{fault:?}: same behaviour must mean same rollback count"
-        );
-        if delta.checkpoint.rollbacks > 0 {
-            assert!(delta.checkpoint.parts_restored > 0, "{fault:?}");
+    let mut folded_and_rolled_back = false;
+    for protocol in [Protocol::Directory, Protocol::Snooping] {
+        // Every machine part: per node a core, a cache controller, a home
+        // controller and a home memory; the data network; the address
+        // network under snooping.
+        let parts = 4 * NODES + 1 + u64::from(protocol == Protocol::Snooping);
+        // (fault, injection cycle, transactions per thread). The last
+        // input runs long enough for the log to evict — and fold — deltas
+        // before the fault lands.
+        for (fault, at_cycle, txns) in [
+            (Fault::WbCorruptValue { node: NodeId(1) }, 6_000, 16),
+            (Fault::MemoryBitFlip { node: NodeId(0) }, 6_000, 16),
+            (Fault::CacheStuckBit { node: NodeId(1) }, 6_000, 16),
+            (Fault::WbCorruptValue { node: NodeId(0) }, 120_000, 320),
+        ] {
+            let plan = FaultPlan { at_cycle, fault };
+            let run = |checkpoint| {
+                builder(
+                    KernelMode::Event,
+                    checkpoint,
+                    Model::Tso,
+                    protocol,
+                    5,
+                    Some(plan),
+                )
+                .workload(WorkloadKind::Jbb, txns)
+                .build()
+                .run_to_completion(5_000_000)
+            };
+            let whole = run(CheckpointMode::Snapshot);
+            let delta = run(CheckpointMode::DeltaLog);
+            let case = format!("{protocol:?} {fault:?}");
+            assert_eq!(
+                fingerprint_sans_costs(&whole),
+                fingerprint_sans_costs(&delta),
+                "{case}"
+            );
+            // The schemes really did take different capture paths. (On a
+            // busy run like this one a delta can even exceed a snapshot —
+            // everything is dirty plus per-delta overhead; the size win is
+            // asserted on quiet traffic below.)
+            assert!(whole.checkpoint.snapshots_taken > 0);
+            assert_eq!(
+                delta.checkpoint.rollbacks, whole.checkpoint.rollbacks,
+                "{case}: same behaviour must mean same rollback count"
+            );
+            // A whole snapshot captures and restores every part.
+            assert_eq!(
+                whole.checkpoint.parts_captured,
+                whole.checkpoint.snapshots_taken * parts,
+                "{case}"
+            );
+            assert_eq!(
+                whole.checkpoint.parts_restored,
+                whole.checkpoint.rollbacks * parts,
+                "{case}"
+            );
+            if delta.checkpoint.rollbacks > 0 {
+                assert!(delta.checkpoint.parts_restored > 0, "{case}");
+            }
+            folded_and_rolled_back |=
+                delta.checkpoint.deltas_folded > 0 && delta.checkpoint.rollbacks > 0;
+            total_rollbacks += delta.checkpoint.rollbacks;
         }
-        total_rollbacks += delta.checkpoint.rollbacks;
     }
     assert!(total_rollbacks > 0, "no fault in the set exercised rollback");
+    assert!(
+        folded_and_rolled_back,
+        "no delta-log run rolled back after folding an evicted delta"
+    );
 }
 
 /// On quiet open-loop traffic — the deployment scenario the delta log
