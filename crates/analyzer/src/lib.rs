@@ -8,7 +8,7 @@
 //!   integrity against a golden memory model, deadlock-freedom, and
 //!   absence of unhandled (state, message) combinations (surfaced as
 //!   controller panics). The search quotients the graph by the
-//!   cache/block symmetry group ([`symmetry`]) and can run its frontier
+//!   cache/block symmetry group (the `symmetry` module) and can run its frontier
 //!   on a parallel worker pool with bit-identical results; with rollback
 //!   enabled it model-checks the protocol × checkpoint/rollback product
 //!   machine.

@@ -1,4 +1,4 @@
-//! Soak/service harness (DESIGN.md §13): drives a [`System`] in service
+//! Soak/service harness (DESIGN.md §13): drives a [`System`](dvmc_sim::System) in service
 //! mode — open-loop traffic, a consistency-model schedule applied
 //! mid-run, an optional fault storm — and reduces the outcome to the
 //! latency percentiles the acceptance gate checks.

@@ -13,12 +13,16 @@
 //! cadence, validation latency, log capacity, the derived recovery window,
 //! and the per-checkpoint coordination traffic the simulator charges to
 //! the interconnect — and, beyond the timing model, a *real* checkpoint
-//! log: [`SafetyNet`] is generic over a snapshot payload `S`, so the
-//! simulator stores full system snapshots in the log and
-//! [`rollback_to`](SafetyNet::rollback_to) hands back the state to
-//! restore. The paper treats BER as an orthogonal, pluggable mechanism
-//! (ReVive would work equally well); the log-and-rollback contract here is
-//! exactly what either provides.
+//! log: [`SafetyNet`] is generic over a checkpoint payload `S`. The
+//! simulator logs incremental deltas over a base image (or, in its
+//! reference mode, whole-machine snapshots) and restores through
+//! [`rollback_via`](SafetyNet::rollback_via), which hands its
+//! reconstruction the log up to the recovery point so it can undo-replay
+//! the deltas; [`rollback_to`](SafetyNet::rollback_to) is the
+//! clone-the-entry shorthand for self-contained payloads. The paper
+//! treats BER as an orthogonal, pluggable mechanism (ReVive would work
+//! equally well); the log-and-rollback contract here is exactly what
+//! either provides.
 
 use dvmc_types::Cycle;
 use std::collections::VecDeque;
@@ -132,8 +136,9 @@ pub struct Checkpoint<S> {
 /// The global SafetyNet state (one instance per system; SafetyNet
 /// checkpoints are globally coordinated in logical time).
 ///
-/// Generic over the snapshot payload `S`: the simulator stores deep
-/// copies of the whole machine, tests and cost models use `S = ()`.
+/// Generic over the checkpoint payload `S`: the simulator stores
+/// machine checkpoints (incremental deltas, or whole snapshots in its
+/// reference mode), tests and cost models use `S = ()`.
 #[derive(Clone, Debug)]
 pub struct SafetyNet<S = ()> {
     cfg: SafetyNetConfig,
@@ -205,26 +210,15 @@ impl<S> SafetyNet<S> {
     /// missed checkpoints (a coarse ticker used to take only one, silently
     /// stretching the recovery window). Note that under coarse ticking the
     /// snapshots of the missed boundaries are all taken from the *current*
-    /// state; callers that store real state in `S` must tick once per
-    /// cycle so every checkpoint's snapshot matches its stamp — the
-    /// simulator does, and `rollback_to` relies on it.
-    pub fn tick_with(&mut self, now: Cycle, mut snapshot: impl FnMut() -> S) -> usize {
-        let mut created = 0;
-        while now >= self.last_checkpoint + self.cfg.checkpoint_interval {
-            self.last_checkpoint += self.cfg.checkpoint_interval;
-            self.taken += 1;
-            created += 1;
-            self.checkpoints.push_back(Checkpoint {
-                taken_at: self.last_checkpoint,
-                state: snapshot(),
-            });
-            // Reclaim the log: keep at most `max_checkpoints`.
-            while self.checkpoints.len() > self.cfg.max_checkpoints {
-                self.checkpoints.pop_front();
-                self.reclaimed += 1;
-            }
-        }
-        created
+    /// state; callers that store real state in `S` must call this at
+    /// every [`next_checkpoint_at`](Self::next_checkpoint_at) boundary so
+    /// each checkpoint's snapshot matches its stamp. The simulator's
+    /// event-scheduled kernel guarantees this by pinning those boundaries
+    /// as events it never skips.
+    pub fn tick_with(&mut self, now: Cycle, snapshot: impl FnMut() -> S) -> usize {
+        let before = self.taken;
+        self.tick_with_reclaimed(now, snapshot);
+        (self.taken - before) as usize
     }
 
     /// Like [`tick_with`](Self::tick_with), but hands back the log
@@ -247,6 +241,7 @@ impl<S> SafetyNet<S> {
                 taken_at: self.last_checkpoint,
                 state: snapshot(),
             });
+            // Reclaim the log: keep at most `max_checkpoints`.
             while self.checkpoints.len() > self.cfg.max_checkpoints {
                 if let Some(cp) = self.checkpoints.pop_front() {
                     reclaimed.push(cp);
@@ -273,10 +268,7 @@ impl<S> SafetyNet<S> {
         now: Cycle,
         reconstruct: impl FnOnce(&[Checkpoint<S>], usize) -> R,
     ) -> Option<(Cycle, R)> {
-        let idx = self
-            .checkpoints
-            .iter()
-            .rposition(|c| c.taken_at <= error_time && self.validated(c.taken_at, now))?;
+        let idx = self.recovery_index(error_time, now)?;
         let entries = self.checkpoints.make_contiguous();
         let taken_at = entries[idx].taken_at;
         let result = reconstruct(entries, idx);
@@ -293,16 +285,21 @@ impl<S> SafetyNet<S> {
         taken_at + self.cfg.validation_latency <= now || taken_at == 0
     }
 
+    /// The log index of the newest validated checkpoint at or before
+    /// `error_time`, as seen at time `now`.
+    fn recovery_index(&self, error_time: Cycle, now: Cycle) -> Option<usize> {
+        self.checkpoints
+            .iter()
+            .rposition(|c| c.taken_at <= error_time && self.validated(c.taken_at, now))
+    }
+
     /// The newest validated checkpoint that predates `error_time`, as seen
     /// at time `now` — the recovery point for an error at `error_time`
     /// detected at `now`. `None` means the error escaped the recovery
     /// window and is unrecoverable.
     pub fn recovery_point(&self, error_time: Cycle, now: Cycle) -> Option<Cycle> {
-        self.checkpoints
-            .iter()
-            .rev()
-            .find(|c| c.taken_at <= error_time && self.validated(c.taken_at, now))
-            .map(|c| c.taken_at)
+        self.recovery_index(error_time, now)
+            .map(|i| self.checkpoints[i].taken_at)
     }
 
     /// Whether an error occurring at `error_time` and detected at `now`

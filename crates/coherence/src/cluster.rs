@@ -428,13 +428,6 @@ impl Cluster {
         self.now = target;
     }
 
-    /// Whether any home's epoch sorter holds queued informs (the periodic
-    /// watermark drain makes such a home an every-cycle event source under
-    /// the directory protocol).
-    pub fn any_sorter_queued(&self) -> bool {
-        self.homes.iter().any(|h| h.queued() > 0)
-    }
-
     /// The earliest cycle at which any home's periodic watermark drain
     /// could release a queued inform (see
     /// [`HomeCtrl::next_sorter_drain_at`](crate::home::HomeCtrl::next_sorter_drain_at)).

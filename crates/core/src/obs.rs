@@ -1,7 +1,7 @@
 //! # Checker observability: structured events, metrics, and forensics
 //!
 //! The paper's evaluation (§6) hinges on *when* and *where* each checker
-//! fires, yet a [`Violation`](crate::Violation) alone carries only the
+//! fires, yet a [`Violation`] alone carries only the
 //! final verdict. This module adds a zero-cost-when-disabled event layer:
 //!
 //! * [`CheckerEvent`] — the taxonomy of checker-internal events (VC

@@ -190,7 +190,9 @@ pub struct SystemConfig {
     /// [`Protection::ber`] is on.
     pub ber: SafetyNetConfig,
     /// End-to-end recovery: `Some` arms rollback/replay on detection —
-    /// checkpoints then carry full system snapshots. `None` (the default)
+    /// checkpoints then carry restorable machine state, in the form
+    /// [`checkpoint`](Self::checkpoint) selects (incremental deltas by
+    /// default, whole snapshots as the reference). `None` (the default)
     /// keeps BER a pure timing model and stops the run at detection, as
     /// the error-detection experiments expect.
     pub recovery: Option<RecoveryPolicy>,

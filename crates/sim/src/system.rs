@@ -77,8 +77,6 @@ pub struct System {
     ckpt_stats: CheckpointStats,
     rng: DetRng,
     violations: Vec<Violation>,
-    fault_injected_at: Option<Cycle>,
-    fault_done: bool,
     /// Per-core (retired count, last progress cycle) for the hang watchdog.
     progress: Vec<(u64, Cycle)>,
     hung: bool,
@@ -122,12 +120,9 @@ pub struct System {
     total_injected: u64,
     /// Outstanding faults that aged out architecturally masked.
     masked: u64,
-    /// Rollback/replay attempts spent on the *current* episode; the
-    /// retry cap and escalation key off this, so a soak run's budget
-    /// resets per episode. Equal to `recovery_attempts` in single-fault
-    /// runs (one episode).
-    episode_attempts: u32,
-    /// The open recovery episode, if any (service mode).
+    /// The open recovery episode: the one record of a fault in flight.
+    /// Opened by the first injection, closed once the machine runs clean
+    /// again (service mode) or at shutdown; a single-fault run has one.
     episode: Option<EpisodeState>,
     /// Closed episodes, in order of first injection.
     episodes: Vec<EpisodeReport>,
@@ -142,7 +137,11 @@ pub struct System {
 struct EpisodeState {
     faults: Vec<Fault>,
     injected_at: Cycle,
+    /// The latest injection into this episode.
+    last_injected_at: Cycle,
     detected_at: Option<Cycle>,
+    /// Rollback/replay attempts spent on this episode: the retry budget
+    /// and escalation key off it, so the budget resets per episode.
     attempts: u32,
     rollback_depth: Cycle,
     /// The (pre-rollback) cycle of the latest detection; once the replay
@@ -220,14 +219,11 @@ impl System {
             ckpt_stats: CheckpointStats::default(),
             rng: det_rng(derive_seed(cfg.workload.seed, 0xFA17)),
             violations: Vec::new(),
-            fault_injected_at: None,
-            fault_done: pending_faults.is_empty(),
             pending_faults,
             outstanding: Vec::new(),
             last_injected: None,
             total_injected: 0,
             masked: 0,
-            episode_attempts: 0,
             episode: None,
             episodes: Vec::new(),
             service: None,
@@ -314,26 +310,12 @@ impl System {
         // due, and BER traffic is excluded from network faults).
         self.take_checkpoint(now);
         self.maybe_inject_fault(now);
-        // Cores interact with their caches. Invalidations are noted
-        // before responses are delivered: a response and the invalidation
-        // that staled it can land in the same cycle, and the speculation
-        // window must close first (§4.1).
         for (i, core) in self.cores.iter_mut().enumerate() {
-            let id = nid(i);
-            let inv = self.cluster.drain_invalidated(id);
-            if !inv.is_empty() {
-                self.core_dirty[i] = true;
-            }
-            core.note_invalidations(&inv);
-            while let Some(resp) = self.cluster.pop_resp(id) {
-                self.core_dirty[i] = true;
-                core.deliver(resp);
-            }
-            if !core.is_inert_at(now) {
+            if deliver(&mut self.cluster, i, core) || !core.is_inert_at(now) {
                 self.core_dirty[i] = true;
             }
             for req in core.tick(now) {
-                self.cluster.submit(id, req);
+                self.cluster.submit(nid(i), req);
             }
             let drained = core.drain_violations();
             if !drained.is_empty() && self.violations.is_empty() {
@@ -435,14 +417,6 @@ impl System {
         self.cores.iter_mut().map(Core::take_commit_log).collect()
     }
 
-    /// Debug helper: per-core retired counts plus hang flag.
-    pub fn report_peek(&self) -> (Vec<u64>, bool) {
-        (
-            self.cores.iter().map(Core::retired_ops).collect(),
-            self.hung,
-        )
-    }
-
     /// Debug helper: renders every core and cache controller, followed —
     /// when observability is enabled — by each node's checker metrics and
     /// its retained event trace.
@@ -502,22 +476,24 @@ impl System {
         out
     }
 
+    /// Node `i`'s observability rings: its core's, its memory-system
+    /// controllers', and — at node 0 — the recovery ring (recovery
+    /// orchestration is globally coordinated; like BER traffic, its
+    /// events are rooted at node 0).
+    fn node_rings(&self, i: usize) -> impl Iterator<Item = &ObsRing> {
+        self.cores[i]
+            .obs_rings()
+            .into_iter()
+            .chain(self.cluster.obs_rings(nid(i)))
+            .chain(self.recovery_ring.as_ref().filter(|_| i == 0))
+    }
+
     /// Merged observability metrics of node `i`'s checkers (zeroed when
     /// observability is disabled).
     fn node_obs_metrics(&self, i: usize) -> ObsMetrics {
         let mut m = ObsMetrics::default();
-        for ring in self.cores[i].obs_rings() {
+        for ring in self.node_rings(i) {
             m.merge(&ring.metrics());
-        }
-        for ring in self.cluster.obs_rings(nid(i)) {
-            m.merge(&ring.metrics());
-        }
-        if i == 0 {
-            // Recovery orchestration is globally coordinated; like BER
-            // traffic, its events are rooted at node 0.
-            if let Some(ring) = self.recovery_ring.as_ref() {
-                m.merge(&ring.metrics());
-            }
         }
         m
     }
@@ -525,17 +501,8 @@ impl System {
     /// The retained events of node `i`'s checkers, merged across rings,
     /// sorted by cycle, and capped at the configured ring capacity.
     fn node_obs_trace(&self, i: usize) -> Vec<TimedEvent> {
-        let mut trace: Vec<TimedEvent> = self.cores[i]
-            .obs_rings()
-            .into_iter()
-            .chain(self.cluster.obs_rings(nid(i)))
-            .flat_map(|ring| ring.events().copied())
-            .collect();
-        if i == 0 {
-            if let Some(ring) = self.recovery_ring.as_ref() {
-                trace.extend(ring.events().copied());
-            }
-        }
+        let mut trace: Vec<TimedEvent> =
+            self.node_rings(i).flat_map(|ring| ring.events().copied()).collect();
         trace.sort_by_key(|e| e.cycle);
         let skip = trace.len().saturating_sub(self.cfg.obs_capacity);
         trace.drain(..skip);
@@ -627,10 +594,7 @@ impl System {
         }
         // Outstanding transients age out as masked at `t + window`.
         if self.outstanding.iter().any(|(p, _)| p.fault.is_transient()) {
-            let window = self.ber.as_ref().map_or_else(
-                || self.cfg.ber.recovery_window(),
-                |b| b.config().recovery_window(),
-            );
+            let window = self.recovery_window();
             for &(p, t) in &self.outstanding {
                 if p.fault.is_transient() {
                     pin(t.saturating_add(window));
@@ -687,9 +651,6 @@ impl System {
     }
 
     fn maybe_inject_fault(&mut self, now: Cycle) {
-        if self.fault_done {
-            return;
-        }
         // Attempt every *due* plan each tick (the queue is sorted by
         // injection time, so the due plans are a prefix). A plan whose
         // precondition is missing must not block the plans behind it —
@@ -707,7 +668,6 @@ impl System {
                 i += 1;
             }
         }
-        self.fault_done = self.pending_faults.is_empty();
     }
 
     /// One injection attempt; `true` when it took. Some faults need state
@@ -717,7 +677,9 @@ impl System {
         let idx = self.rng.gen::<u64>() as usize;
         let bit = self.rng.gen::<u32>();
         let took = match plan.fault {
-            Fault::CacheBitFlip { node } => self
+            // A stuck bit injects like a cache data flip; its persistence
+            // lives in the recovery path, which re-arms it after rollback.
+            Fault::CacheBitFlip { node } | Fault::CacheStuckBit { node } => self
                 .cluster
                 .node_mut(node)
                 .corrupt_l2(idx, bit as usize % 512)
@@ -761,13 +723,6 @@ impl System {
                 .home_mut(node)
                 .corrupt_forget_owner(idx)
                 .is_some(),
-            // A stuck bit injects like a cache data flip; its persistence
-            // lives in the recovery path, which re-arms it after rollback.
-            Fault::CacheStuckBit { node } => self
-                .cluster
-                .node_mut(node)
-                .corrupt_l2(idx, bit as usize % 512)
-                .is_some(),
         };
         if took {
             // Core-targeted faults mutate core state behind the normal
@@ -780,31 +735,28 @@ impl System {
             {
                 self.core_dirty[node.index()] = true;
             }
-            self.fault_injected_at = Some(now);
             self.last_injected = Some(plan);
             self.total_injected += 1;
             self.outstanding.push((plan, now));
             // Open (or extend) the recovery episode: overlapping faults
             // pile into one episode until the machine is clean again.
-            match self.episode.as_mut() {
-                Some(ep) => ep.faults.push(plan.fault),
-                None => {
-                    self.episode = Some(EpisodeState {
-                        faults: vec![plan.fault],
-                        injected_at: now,
-                        detected_at: None,
-                        attempts: 0,
-                        rollback_depth: 0,
-                        clean_after: now,
-                    });
-                }
-            }
+            let ep = self.episode.get_or_insert_with(|| EpisodeState {
+                faults: Vec::new(),
+                injected_at: now,
+                last_injected_at: now,
+                detected_at: None,
+                attempts: 0,
+                rollback_depth: 0,
+                clean_after: now,
+            });
+            ep.faults.push(plan.fault);
+            ep.last_injected_at = now;
         }
         took
     }
 
     /// Runs to completion (all threads finish their transaction quota),
-    /// detection (when a fault is scheduled), hang, or the cycle limit.
+    /// detection (once a fault is in flight), hang, or the cycle limit.
     ///
     /// With recovery armed, a detection — checker violation or watchdog
     /// hang — triggers rollback to the newest validated pre-error
@@ -812,13 +764,9 @@ impl System {
     /// unrecoverable verdict (retries exhausted, window escaped) stops it.
     pub fn run_to_completion(&mut self, max_cycles: u64) -> RunReport {
         let limit = max_cycles.min(self.cfg.max_cycles);
-        let fault_scheduled = self.fault_scheduled();
         while self.now() < limit {
             self.tick();
-            if fault_scheduled
-                && self.fault_injected_at.is_some()
-                && (!self.violations.is_empty() || self.hung)
-            {
+            if self.episode.is_some() && (!self.violations.is_empty() || self.hung) {
                 // Detected, by a checker or by the hang watchdog.
                 if self.try_recover() {
                     continue; // rolled back; replay
@@ -963,7 +911,6 @@ impl System {
     pub fn finish_service(&mut self) -> ServiceReport {
         assert!(self.service.is_some(), "arm_service before finish_service");
         self.pending_faults.clear();
-        self.fault_done = true;
         let fatal = self.service.as_ref().and_then(|s| s.stopped).is_some();
         // Grace drain: an episode mid-recovery at the horizon gets up to
         // two watchdog periods to come clean before shutdown.
@@ -993,20 +940,12 @@ impl System {
             snap.end = now;
             svc.windows.push(snap);
         }
+        let stopped = svc.stopped.unwrap_or(ServiceStop::Horizon);
+        // Reported while the open episode still says what is in flight.
+        let report = self.report();
         // An episode still open at shutdown goes on record unrecovered
         // (or, if never detected, masked-in-progress).
-        if let Some(ep) = self.episode.take() {
-            self.episodes.push(EpisodeReport {
-                faults: ep.faults,
-                injected_at: ep.injected_at,
-                detected_at: ep.detected_at,
-                attempts: ep.attempts,
-                rollback_depth: ep.rollback_depth,
-                recovered_at: None,
-            });
-        }
-        let stopped = svc.stopped.unwrap_or(ServiceStop::Horizon);
-        let report = self.report();
+        self.close_episode(None);
         ServiceReport {
             windows: svc.windows,
             episodes: std::mem::take(&mut self.episodes),
@@ -1029,10 +968,7 @@ impl System {
         if self.outstanding.is_empty() {
             return;
         }
-        let window = self.ber.as_ref().map_or_else(
-            || self.cfg.ber.recovery_window(),
-            |b| b.config().recovery_window(),
-        );
+        let window = self.recovery_window();
         let before = self.outstanding.len();
         self.outstanding
             .retain(|&(p, t)| !p.fault.is_transient() || now.saturating_sub(t) <= window);
@@ -1043,23 +979,36 @@ impl System {
         self.masked += aged;
         // A never-detected episode whose faults all aged out closes as
         // masked.
-        if self.outstanding.is_empty() {
-            if let Some(ep) = self.episode.as_ref() {
-                if ep.detected_at.is_none() && ep.attempts == 0 {
-                    let ep = self.episode.take().expect("just checked");
-                    self.episodes.push(EpisodeReport {
-                        faults: ep.faults,
-                        injected_at: ep.injected_at,
-                        detected_at: None,
-                        attempts: 0,
-                        rollback_depth: 0,
-                        recovered_at: None,
-                    });
-                    self.fault_injected_at = None;
-                    self.episode_attempts = 0;
-                }
-            }
+        if self.outstanding.is_empty()
+            && self.episode.as_ref().is_some_and(|ep| ep.detected_at.is_none() && ep.attempts == 0)
+        {
+            self.close_episode(None);
         }
+    }
+
+    /// Moves the open episode, if any, onto the closed-episode record;
+    /// `recovered_at` is `None` for an episode that never came clean
+    /// (masked, or still open at shutdown).
+    fn close_episode(&mut self, recovered_at: Option<Cycle>) {
+        if let Some(ep) = self.episode.take() {
+            self.episodes.push(EpisodeReport {
+                faults: ep.faults,
+                injected_at: ep.injected_at,
+                detected_at: ep.detected_at,
+                attempts: ep.attempts,
+                rollback_depth: ep.rollback_depth,
+                recovered_at,
+            });
+        }
+    }
+
+    /// The SafetyNet recovery window: how long an undetected transient
+    /// stays outstanding before it counts as masked.
+    fn recovery_window(&self) -> Cycle {
+        self.ber.as_ref().map_or_else(
+            || self.cfg.ber.recovery_window(),
+            |b| b.config().recovery_window(),
+        )
     }
 
     /// Closes the open episode as recovered once the machine has run
@@ -1069,32 +1018,23 @@ impl System {
     /// per-episode retry budget and narrows an escalation-widened
     /// checkpoint cadence back to its configured base.
     fn maybe_close_episode(&mut self, now: Cycle) {
-        let ready = self.episode.as_ref().is_some_and(|ep| {
-            ep.detected_at.is_some()
-                && ep.attempts > 0
-                && self.outstanding.is_empty()
-                && self.violations.is_empty()
-                && !self.hung
-                && now > ep.clean_after
-        });
+        let Some(ep) = self.episode.as_ref() else {
+            return;
+        };
+        let ready = ep.detected_at.is_some()
+            && ep.attempts > 0
+            && self.outstanding.is_empty()
+            && self.violations.is_empty()
+            && !self.hung
+            && now > ep.clean_after;
         if !ready {
             return;
         }
-        let ep = self.episode.take().expect("checked above");
         if let Some(ring) = self.recovery_ring.as_mut() {
             ring.set_now(now);
             ring.record(CheckerEvent::RecoveryCompleted { attempt: ep.attempts });
         }
-        self.episodes.push(EpisodeReport {
-            faults: ep.faults,
-            injected_at: ep.injected_at,
-            detected_at: ep.detected_at,
-            attempts: ep.attempts,
-            rollback_depth: ep.rollback_depth,
-            recovered_at: Some(now),
-        });
-        self.episode_attempts = 0;
-        self.fault_injected_at = None;
+        self.close_episode(Some(now));
         if let Some(ber) = self.ber.as_mut() {
             ber.narrow_interval(self.cfg.ber.checkpoint_interval);
         }
@@ -1178,61 +1118,43 @@ impl System {
         let Some(policy) = self.cfg.recovery else {
             return false;
         };
+        let Some(latest) = self.in_flight() else {
+            return false; // nothing to roll back past
+        };
         // Roll back past the *earliest* still-outstanding injection: a
         // storm can land a second fault while the first is latent, and a
         // rollback that only clears the newer one replays straight into
         // the older one's corruption. After a rollback drained the
         // outstanding set, a replay re-detection falls back to the
-        // episode's first injection time.
-        let earliest = self.outstanding.iter().min_by_key(|&&(_, t)| t).copied();
-        let Some(injected_at) = earliest.map(|(_, t)| t).or(self.fault_injected_at) else {
-            return false;
-        };
-        let fault = earliest
-            .map(|(p, _)| p.fault)
-            .or(self.last_injected.map(|p| p.fault))
-            .or(self.cfg.fault.map(|p| p.fault));
-        let Some(fault) = fault else {
-            return false;
-        };
+        // episode's latest injection.
+        let (fault, injected_at) = self
+            .outstanding
+            .iter()
+            .min_by_key(|&&(_, t)| t)
+            .map_or(latest, |&(plan, t)| (plan.fault, t));
         let now = self.cluster.now();
         // Preserve the first detection: rollback rewinds the live
         // evidence, but the report must still attest what was caught and
         // when.
         if self.recovery_detection.is_none() {
-            self.recovery_detection = Some(Detection {
-                fault,
-                injected_at,
-                detected_at: now,
-                violation: self.violations.first().cloned(),
-                recoverable: self
-                    .ber
-                    .as_ref()
-                    .is_some_and(|b| b.recoverable(injected_at, now)),
-            });
-        }
-        if let Some(ep) = self.episode.as_mut() {
-            ep.detected_at.get_or_insert(now);
-            ep.clean_after = now;
+            self.recovery_detection = Some(self.detection(fault, injected_at, now));
         }
         // Forensics likewise: captured before restore, while the rings
         // still hold the events leading up to the violation.
         if self.cfg.obs_capacity > 0 && self.recovery_forensics.is_none() {
-            let node = self.attribute_node();
-            self.recovery_forensics = Some(ViolationReport {
-                violation: self.violations.first().cloned(),
-                trace: self.node_obs_trace(node.index()),
-                cycle: now,
-                node,
-            });
+            self.recovery_forensics = Some(self.forensics(now));
         }
-        if self.episode_attempts >= policy.max_retries {
+        let ep = self.episode.as_mut().expect("a fault in flight has an episode");
+        ep.detected_at.get_or_insert(now);
+        ep.clean_after = now;
+        if ep.attempts >= policy.max_retries {
             // Retries exhausted. No restore: the final violations and
             // rings stay in place, so report() renders fresh forensics
             // for the unrecoverable verdict.
             self.unrecoverable = true;
             return false;
         }
+        let attempt = ep.attempts + 1;
         let Some(mut ber) = self.ber.take() else {
             self.unrecoverable = true;
             return false;
@@ -1253,8 +1175,6 @@ impl System {
             return false;
         }
         self.recovery_attempts += 1;
-        self.episode_attempts += 1;
-        let attempt = self.episode_attempts;
         let depth = now.saturating_sub(taken_at);
         self.window_rollback_depth = self.window_rollback_depth.max(depth);
         if let Some(ep) = self.episode.as_mut() {
@@ -1297,8 +1217,41 @@ impl System {
                 self.pending_faults.push_front(plan);
             }
         }
-        self.fault_done = self.pending_faults.is_empty();
         true
+    }
+
+    /// The fault in flight: the open episode's latest injection, as
+    /// `(fault, injected_at)`.
+    fn in_flight(&self) -> Option<(Fault, Cycle)> {
+        let ep = self.episode.as_ref()?;
+        Some((self.last_injected?.fault, ep.last_injected_at))
+    }
+
+    /// The detection record for `fault`, injected at `injected_at` and
+    /// caught at `now` by the live violations (or the hang watchdog).
+    fn detection(&self, fault: Fault, injected_at: Cycle, now: Cycle) -> Detection {
+        Detection {
+            fault,
+            injected_at,
+            detected_at: now,
+            violation: self.violations.first().cloned(),
+            recoverable: self
+                .ber
+                .as_ref()
+                .is_some_and(|b| b.recoverable(injected_at, now)),
+        }
+    }
+
+    /// Forensics of the live detection: the first violation and the
+    /// event trace of the node it is attributed to.
+    fn forensics(&self, now: Cycle) -> ViolationReport {
+        let node = self.attribute_node();
+        ViolationReport {
+            violation: self.violations.first().cloned(),
+            trace: self.node_obs_trace(node.index()),
+            cycle: now,
+            node,
+        }
     }
 
     /// Reconstructs the machine at `entries[idx]` (the recovery point the
@@ -1451,12 +1404,7 @@ impl System {
         if !self.hung {
             for _ in 0..500_000u64 {
                 for (i, core) in self.cores.iter_mut().enumerate() {
-                    let id = nid(i);
-                    let inv = self.cluster.drain_invalidated(id);
-                    core.note_invalidations(&inv);
-                    while let Some(resp) = self.cluster.pop_resp(id) {
-                        core.deliver(resp);
-                    }
+                    deliver(&mut self.cluster, i, core);
                 }
                 if self.cluster.is_quiescent() {
                     break;
@@ -1482,21 +1430,10 @@ impl System {
         // A run that went through recovery reports its *first* detection
         // (rollback rewound the live evidence); otherwise the detection is
         // derived from the final state as before.
-        let detection = self.recovery_detection.clone().or(match (self.last_injected.or(self.cfg.fault), self.fault_injected_at) {
-            (Some(plan), Some(injected_at)) if !self.violations.is_empty() || self.hung => {
-                let recoverable = self
-                    .ber
-                    .as_ref()
-                    .is_some_and(|b| b.recoverable(injected_at, now));
-                Some(Detection {
-                    fault: plan.fault,
-                    injected_at,
-                    detected_at: now,
-                    violation: self.violations.first().cloned(),
-                    recoverable,
-                })
-            }
-            _ => None,
+        let detected = !self.violations.is_empty() || self.hung;
+        let detection = self.recovery_detection.clone().or_else(|| {
+            let (fault, injected_at) = self.in_flight().filter(|_| detected)?;
+            Some(self.detection(fault, injected_at, now))
         });
         let recovery = if self.recovery_attempts > 0 || self.unrecoverable {
             Some(RecoveryReport {
@@ -1517,15 +1454,8 @@ impl System {
         } else {
             Vec::new()
         };
-        let first = self.violations.first().cloned();
-        let forensics = if self.cfg.obs_capacity > 0 && (first.is_some() || self.hung) {
-            let node = self.attribute_node();
-            Some(ViolationReport {
-                violation: first,
-                trace: self.node_obs_trace(node.index()),
-                cycle: now,
-                node,
-            })
+        let forensics = if self.cfg.obs_capacity > 0 && detected {
+            Some(self.forensics(now))
         } else {
             // A recovered run's final state is clean; fall back to the
             // forensics captured at the first (recovered) detection.
@@ -1563,6 +1493,22 @@ impl System {
     }
 }
 
+/// Hands core `i` the invalidations and responses the memory system
+/// holds for it — invalidations first: a response and the invalidation
+/// that staled it can land in the same cycle, and the speculation window
+/// must close first (§4.1). Returns whether anything was delivered.
+fn deliver(cluster: &mut Cluster, i: usize, core: &mut Core) -> bool {
+    let id = nid(i);
+    let inv = cluster.drain_invalidated(id);
+    core.note_invalidations(&inv);
+    let mut delivered = !inv.is_empty();
+    while let Some(resp) = cluster.pop_resp(id) {
+        core.deliver(resp);
+        delivered = true;
+    }
+    delivered
+}
+
 /// The node a violation itself names, when it names one (per-processor
 /// violations are attributed by which core reported them instead).
 fn violation_node(v: &Violation) -> Option<NodeId> {
@@ -1598,6 +1544,21 @@ mod tests {
     use dvmc_faults::FaultPlan;
     use dvmc_types::{BlockAddr, Ts16};
 
+    /// Plants `plan` as the fault in flight, injected at cycle `at`,
+    /// the way `attempt_inject` records an injection.
+    fn plant_in_flight(sys: &mut System, plan: FaultPlan, at: Cycle) {
+        sys.last_injected = Some(plan);
+        sys.episode = Some(EpisodeState {
+            faults: vec![plan.fault],
+            injected_at: at,
+            last_injected_at: at,
+            detected_at: None,
+            attempts: 0,
+            rollback_depth: 0,
+            clean_after: at,
+        });
+    }
+
     /// Regression: a faulted run that ends in a hang used to skip both
     /// report() drain paths (no quiescence drain because it's hung, no
     /// end-of-run audit because a fault was scheduled), dropping any
@@ -1605,13 +1566,11 @@ mod tests {
     /// detection to a hang-only detection with `violation: None`.
     #[test]
     fn hung_faulted_run_keeps_cluster_violations() {
-        let mut sys = SystemBuilder::new()
-            .nodes(2)
-            .fault(FaultPlan {
-                at_cycle: 0,
-                fault: Fault::DropMessage,
-            })
-            .build();
+        let plan = FaultPlan {
+            at_cycle: 0,
+            fault: Fault::DropMessage,
+        };
+        let mut sys = SystemBuilder::new().nodes(2).fault(plan).build();
         // Plant a checker violation directly at home 0: an Inform-Epoch
         // for a block never requested through this home is flagged by the
         // MET once the sorter releases it.
@@ -1634,7 +1593,7 @@ mod tests {
             sys.cluster.tick();
         }
         sys.hung = true;
-        sys.fault_injected_at = Some(1);
+        plant_in_flight(&mut sys, plan, 1);
         let report = sys.report();
         assert!(
             !report.violations.is_empty(),
@@ -1667,14 +1626,11 @@ mod tests {
         assert!(report.forensics.is_none(), "no detection, no forensics");
         assert!(!sys.dump().is_empty());
 
-        let mut sys = SystemBuilder::new()
-            .nodes(2)
-            .obs(32)
-            .fault(FaultPlan {
-                at_cycle: 0,
-                fault: Fault::DropMessage,
-            })
-            .build();
+        let plan = FaultPlan {
+            at_cycle: 0,
+            fault: Fault::DropMessage,
+        };
+        let mut sys = SystemBuilder::new().nodes(2).obs(32).fault(plan).build();
         sys.cluster.home_mut(NodeId(0)).deliver(Msg::Epoch(
             InformEpoch {
                 addr: BlockAddr(0),
@@ -1691,7 +1647,7 @@ mod tests {
             sys.cluster.tick();
         }
         sys.hung = true;
-        sys.fault_injected_at = Some(1);
+        plant_in_flight(&mut sys, plan, 1);
         let report = sys.report();
         let forensics = report.forensics.expect("detection with obs enabled");
         assert_eq!(forensics.node, NodeId(0), "attributed to the home");
@@ -1796,16 +1752,16 @@ mod tests {
             }
         }
         run_until(&mut sys, 30_000);
-        assert!(sys.fault_done, "the stuck bit was injected");
+        assert!(sys.pending_faults.is_empty(), "the stuck bit was injected");
         // First manifestation.
         sys.hung = true;
         assert!(sys.try_recover(), "first retry rolls back");
         assert_eq!(sys.recovery_attempts, 1);
         assert!(!sys.hung, "rollback clears the hang");
         assert_eq!(sys.now(), 0, "only the initial checkpoint predates the fault");
-        assert!(!sys.fault_done, "persistent: the defect re-arms for replay");
+        assert!(!sys.pending_faults.is_empty(), "persistent: the defect re-arms for replay");
         run_until(&mut sys, 30_000);
-        assert!(sys.fault_done, "the stuck bit re-manifested during replay");
+        assert!(sys.pending_faults.is_empty(), "the stuck bit re-manifested during replay");
         // Second manifestation: escalation kicks in.
         sys.hung = true;
         assert!(sys.try_recover(), "second retry still rolls back");
@@ -1836,76 +1792,149 @@ mod tests {
         assert_eq!(report.obs[0].recoveries_completed, 0);
     }
 
-    /// Service mode end to end: an open-loop run under a two-fault
-    /// transient storm detects both, recovers both in-line, closes both
-    /// episodes with finite latencies, and reaches the horizon with zero
+    /// White-box: a rollback restores a part whose only image left the
+    /// log when its delta was evicted, so it must come from the base —
+    /// which holds it only if `Delta::fold_into` folded the delta's
+    /// memory-system parts in. A home memory array poked once and then
+    /// idle for the whole log window is exactly that part.
+    #[test]
+    fn rollback_restores_a_part_last_captured_in_a_folded_delta() {
+        use crate::config::RecoveryPolicy;
+        use dvmc_ber::SafetyNetConfig;
+        use dvmc_types::WordAddr;
+        use dvmc_workloads::spec::WorkloadKind;
+        let mut sys = SystemBuilder::new()
+            .nodes(2)
+            .workload(WorkloadKind::Jbb, 2)
+            .ber_config(SafetyNetConfig {
+                checkpoint_interval: 100,
+                validation_latency: 150,
+                max_checkpoints: 4,
+                coordination_bytes: 16,
+            })
+            .recovery(RecoveryPolicy::default())
+            .checkpoint_mode(CheckpointMode::DeltaLog)
+            .seed(3)
+            .build();
+        // Let the workload finish and its traffic drain: from here on no
+        // request reaches any home.
+        while !(sys.all_done() && sys.cluster.is_quiescent()) {
+            sys.tick();
+        }
+        let addr = WordAddr(0);
+        let home = PartId::HomeMem(addr.block().home(2).index());
+        sys.cluster.poke_word(addr, 0xA11CE);
+        let poked_at = sys.now();
+        // The next checkpoint (within one interval) captures the poked
+        // memory; a few intervals later its delta has been evicted and
+        // folded into the base.
+        while sys.now() < poked_at + 700 {
+            sys.tick();
+        }
+        let oldest = sys.ber.as_ref().unwrap().oldest_checkpoint();
+        assert!(oldest > poked_at + 100, "the capturing delta left the log");
+        assert!(!sys.cluster.dirty_parts().any(|id| id == home), "the home stayed idle");
+        // Poison the memory again, then roll back to the newest checkpoint:
+        // no retained delta carries this home's memory, so it is restored
+        // from the base.
+        sys.cluster.poke_word(addr, 0xB0B);
+        sys.force_rollback().expect("recovery is armed");
+        assert_eq!(sys.cluster.peek_memory_word(addr), 0xA11CE);
+    }
+
+    /// Service mode end to end: an open-loop run under a transient storm
+    /// detects every fault, recovers each in-line, closes every episode
+    /// with finite latencies, and reaches the horizon with zero
     /// unrecovered faults and zero false violations. Windows tile the
     /// timeline contiguously and account for the injections.
+    ///
+    /// The second input pins the per-episode retry budget: three
+    /// separate episodes against a budget of one retry only all recover
+    /// if closing an episode resets the budget.
     #[test]
     fn service_mode_recovers_a_transient_storm() {
         use crate::config::RecoveryPolicy;
         use dvmc_workloads::spec::WorkloadKind;
-        let mut sys = SystemBuilder::new()
-            .nodes(2)
-            .workload(WorkloadKind::Service { mean_gap: 400 }, u64::MAX / 2)
-            .recovery(RecoveryPolicy {
-                max_retries: 4,
-                backoff_factor: 2,
-            })
-            .watchdog(60_000)
-            .obs(32)
-            .seed(11)
-            .storm(vec![
-                FaultPlan {
-                    at_cycle: 6_000,
-                    fault: Fault::WbCorruptValue { node: NodeId(1) },
-                },
-                FaultPlan {
-                    at_cycle: 90_000,
-                    fault: Fault::WbDropStore { node: NodeId(0) },
-                },
-            ])
-            .build();
-        sys.arm_service(25_000);
-        let mut streamed = 0usize;
-        let stop = sys.run_service_until(250_000, &mut |_snap| streamed += 1);
-        assert_eq!(stop, ServiceStop::Horizon, "no fatal stop under a transient storm");
-        let svc = sys.finish_service();
-        assert_eq!(svc.stopped, ServiceStop::Horizon);
-        assert_eq!(svc.injected, 2, "both storm members injected");
-        assert_eq!(svc.unrecovered(), 0, "every detected fault recovered");
-        assert!(svc.report.violations.is_empty(), "no violation outlives recovery");
-        assert!(!svc.report.hung);
-        // Every closed episode recovered, with sane latency ordering.
-        assert!(!svc.episodes.is_empty(), "the storm produced episodes");
-        for ep in &svc.episodes {
-            if let Some(d) = ep.detected_at {
-                assert!(ep.recovery_latency().is_some(), "recovered: {ep:?}");
-                let r = ep.recovered_at.expect("recovered episodes carry a clean time");
-                assert!(r > d, "the machine comes clean strictly after detection");
-                assert!(d >= ep.injected_at, "detection follows injection");
-                assert!(ep.attempts >= 1);
+        let plan = |at_cycle, fault| FaultPlan { at_cycle, fault };
+        let cases = [
+            (
+                4,
+                vec![
+                    plan(6_000, Fault::WbCorruptValue { node: NodeId(1) }),
+                    plan(90_000, Fault::WbDropStore { node: NodeId(0) }),
+                ],
+            ),
+            (
+                1,
+                vec![
+                    plan(6_000, Fault::WbCorruptValue { node: NodeId(1) }),
+                    plan(90_000, Fault::WbDropStore { node: NodeId(0) }),
+                    plan(170_000, Fault::WbCorruptValue { node: NodeId(0) }),
+                ],
+            ),
+        ];
+        for (max_retries, storm) in cases {
+            let faults = storm.len() as u64;
+            let mut sys = SystemBuilder::new()
+                .nodes(2)
+                .workload(WorkloadKind::Service { mean_gap: 400 }, u64::MAX / 2)
+                .recovery(RecoveryPolicy {
+                    max_retries,
+                    backoff_factor: 2,
+                })
+                .watchdog(60_000)
+                .obs(32)
+                .seed(11)
+                .storm(storm)
+                .build();
+            sys.arm_service(25_000);
+            let mut streamed = 0usize;
+            let stop = sys.run_service_until(250_000, &mut |_snap| streamed += 1);
+            assert_eq!(stop, ServiceStop::Horizon, "no fatal stop under a transient storm");
+            let svc = sys.finish_service();
+            assert_eq!(svc.stopped, ServiceStop::Horizon);
+            assert_eq!(svc.injected, faults, "every storm member injected");
+            assert_eq!(svc.unrecovered(), 0, "every detected fault recovered");
+            assert!(svc.report.violations.is_empty(), "no violation outlives recovery");
+            assert!(!svc.report.hung);
+            // Every closed episode recovered, with sane latency ordering.
+            assert!(!svc.episodes.is_empty(), "the storm produced episodes");
+            for ep in &svc.episodes {
+                if let Some(d) = ep.detected_at {
+                    assert!(ep.recovery_latency().is_some(), "recovered: {ep:?}");
+                    let r = ep.recovered_at.expect("recovered episodes carry a clean time");
+                    assert!(r > d, "the machine comes clean strictly after detection");
+                    assert!(d >= ep.injected_at, "detection follows injection");
+                    assert!(ep.attempts >= 1);
+                }
             }
+            if max_retries == 1 {
+                // Every episode recovered on a budget of one retry, yet
+                // the run spent more than one retry in total.
+                assert!(svc.episodes.iter().all(|ep| ep.recovered_at.is_some()), "{:?}", svc.episodes);
+                let attempts = svc.report.recovery.as_ref().map_or(0, |r| r.attempts);
+                assert!(attempts > max_retries, "{attempts} attempts");
+            }
+            // Windows tile the timeline: contiguous, streamed in order,
+            // and the storm's injections are attributed to some window.
+            // Every full window was streamed live; a final *partial*
+            // window exists only when the run ends off a boundary.
+            assert!(
+                svc.windows.len() == streamed || svc.windows.len() == streamed + 1,
+                "{} streamed vs {} recorded",
+                streamed,
+                svc.windows.len()
+            );
+            for w in windows_pairs(&svc.windows) {
+                assert_eq!(w.0.end, w.1.start, "windows are contiguous");
+            }
+            let injected: u64 = svc.windows.iter().map(|w| w.injected).sum();
+            assert_eq!(injected, faults);
+            let retired: u64 = svc.windows.iter().map(|w| w.retired_ops).sum();
+            assert!(retired > 0, "open-loop traffic made forward progress");
+            let closed: u64 = svc.windows.iter().map(|w| w.episodes_closed).sum();
+            assert_eq!(closed as usize, svc.episodes.len(), "window deltas account every episode");
         }
-        // Windows tile the timeline: contiguous, streamed in order, and
-        // the storm's injections are attributed to some window.
-        // Every full window was streamed live; a final *partial* window
-        // exists only when the run ends off a boundary.
-        assert!(
-            svc.windows.len() == streamed || svc.windows.len() == streamed + 1,
-            "{} streamed vs {} recorded",
-            streamed,
-            svc.windows.len()
-        );
-        for w in windows_pairs(&svc.windows) {
-            assert_eq!(w.0.end, w.1.start, "windows are contiguous");
-        }
-        let injected: u64 = svc.windows.iter().map(|w| w.injected).sum();
-        assert_eq!(injected, 2);
-        let retired: u64 = svc.windows.iter().map(|w| w.retired_ops).sum();
-        assert!(retired > 0, "open-loop traffic made forward progress");
-        let closed: u64 = svc.windows.iter().map(|w| w.episodes_closed).sum();
-        assert_eq!(closed as usize, svc.episodes.len(), "window deltas account every episode");
     }
 
     fn windows_pairs(w: &[WindowSnapshot]) -> impl Iterator<Item = (&WindowSnapshot, &WindowSnapshot)> {
@@ -1931,14 +1960,7 @@ mod tests {
         };
         sys.outstanding.push((plan, 100));
         sys.total_injected = 1;
-        sys.episode = Some(EpisodeState {
-            faults: vec![plan.fault],
-            injected_at: 100,
-            detected_at: None,
-            attempts: 0,
-            rollback_depth: 0,
-            clean_after: 100,
-        });
+        plant_in_flight(&mut sys, plan, 100);
         let window = sys.cfg.ber.recovery_window();
         sys.age_masked(100 + window); // still inside the window
         assert_eq!(sys.masked, 0);

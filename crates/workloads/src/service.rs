@@ -27,7 +27,7 @@
 //!   never mixes vocabularies inside the pipeline).
 //!
 //! The stream never returns [`Fetch::Done`]: a service has no natural
-//! end, the harness decides when to stop ([`dvmc_sim`]'s service mode).
+//! end, the harness decides when to stop (`dvmc_sim`'s service mode).
 
 use crate::layout::Layout;
 use dvmc_consistency::{MembarMask, Model, OpClass};
