@@ -1,20 +1,18 @@
-//! Criterion micro-benchmarks of the two checkpoint schemes behind
-//! SafetyNet BER: whole-machine snapshot cloning versus log-based
-//! incremental deltas (DESIGN.md §14).
+//! Criterion micro-benchmarks of the whole-machine snapshot behind
+//! SafetyNet BER (DESIGN.md §14).
 //!
 //! Two costs matter. *Capture* runs every checkpoint interval on the
-//! fast path — the delta scheme's claim is that a quiet interval appends
-//! a near-empty record where the snapshot scheme clones the whole
-//! machine. *Rollback* runs only on detection — the delta scheme pays an
-//! undo-replay log scan there to win its cheap captures.
+//! fast path and clones the whole machine. *Rollback* runs only on
+//! detection and restores the machine in place from the recovery
+//! point's snapshot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dvmc_sim::{CheckpointMode, KernelMode, RecoveryPolicy, System, SystemBuilder};
+use dvmc_sim::{KernelMode, RecoveryPolicy, System, SystemBuilder};
 use dvmc_workloads::spec::WorkloadKind;
 
 /// A warmed service-mode machine: open-loop traffic, recovery armed, and
 /// enough history that the BER log is full and rollback is meaningful.
-fn warmed(checkpoint: CheckpointMode, mean_gap: u32) -> System {
+fn warmed(mean_gap: u32) -> System {
     let mut sys = SystemBuilder::new()
         .nodes(4)
         .workload(WorkloadKind::Service { mean_gap }, u64::MAX / 2)
@@ -22,7 +20,6 @@ fn warmed(checkpoint: CheckpointMode, mean_gap: u32) -> System {
         .watchdog(200_000)
         .seed(17)
         .kernel(KernelMode::Legacy)
-        .checkpoint_mode(checkpoint)
         .build();
     for _ in 0..60_000 {
         sys.tick();
@@ -32,56 +29,37 @@ fn warmed(checkpoint: CheckpointMode, mean_gap: u32) -> System {
 
 fn bench_capture(c: &mut Criterion) {
     let mut g = c.benchmark_group("checkpoint_capture");
-    // Quiet interval: nothing (or almost nothing) mutated since the last
-    // capture. The delta scheme should be orders of magnitude cheaper
-    // than cloning the machine.
-    for (name, mode) in [
-        ("quiet_whole_snapshot", CheckpointMode::Snapshot),
-        ("quiet_delta_append", CheckpointMode::DeltaLog),
-    ] {
-        let mut sys = warmed(mode, 8_000);
-        g.bench_function(name, |b| {
-            b.iter(|| sys.force_checkpoint());
+    // Quiet interval: almost nothing moved since the last capture.
+    let mut sys = warmed(8_000);
+    g.bench_function("quiet_whole_snapshot", |b| {
+        b.iter(|| sys.force_checkpoint());
+    });
+    // Busy interval: a burst of traffic between captures.
+    let mut sys = warmed(400);
+    g.bench_function("busy_whole_snapshot", |b| {
+        b.iter(|| {
+            for _ in 0..50 {
+                sys.tick();
+            }
+            sys.force_checkpoint()
         });
-    }
-    // Busy interval: a burst of traffic dirties parts of the machine
-    // between captures; the delta narrows toward the snapshot cost but
-    // still only captures what moved.
-    for (name, mode) in [
-        ("busy_whole_snapshot", CheckpointMode::Snapshot),
-        ("busy_delta_append", CheckpointMode::DeltaLog),
-    ] {
-        let mut sys = warmed(mode, 400);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                for _ in 0..50 {
-                    sys.tick();
-                }
-                sys.force_checkpoint()
-            });
-        });
-    }
+    });
     g.finish();
 }
 
 fn bench_rollback(c: &mut Criterion) {
     let mut g = c.benchmark_group("checkpoint_rollback");
-    for (name, mode) in [
-        ("whole_snapshot_restore", CheckpointMode::Snapshot),
-        ("delta_undo_replay", CheckpointMode::DeltaLog),
-    ] {
-        let mut sys = warmed(mode, 400);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                // Mutate forward so the rollback has real work to undo,
-                // then restore to the newest held checkpoint.
-                for _ in 0..50 {
-                    sys.tick();
-                }
-                sys.force_rollback().expect("warmed log holds a checkpoint")
-            });
+    let mut sys = warmed(400);
+    g.bench_function("whole_snapshot_restore", |b| {
+        b.iter(|| {
+            // Mutate forward so the rollback has real work to undo, then
+            // restore to the newest held checkpoint.
+            for _ in 0..50 {
+                sys.tick();
+            }
+            sys.force_rollback().expect("warmed log holds a checkpoint")
         });
-    }
+    });
     g.finish();
 }
 

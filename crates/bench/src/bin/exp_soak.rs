@@ -26,7 +26,7 @@ use dvmc_bench::soak::{run_soak, SoakOutcome, SoakSpec};
 use dvmc_bench::{parallel_map_indexed, print_table, ExpOpts};
 use dvmc_consistency::Model;
 use dvmc_faults::{storm_plan, Fault, FaultPlan, StormConfig};
-use dvmc_sim::{CheckpointMode, KernelMode, Protocol, ServiceStop};
+use dvmc_sim::{KernelMode, Protocol, ServiceStop};
 use dvmc_types::rng::{det_rng, derive_seed};
 use dvmc_types::{Cycle, NodeId};
 use std::fmt::Write as _;
@@ -113,7 +113,6 @@ fn main() {
             max_retries: MAX_RETRIES,
             watchdog: WATCHDOG,
             kernel: KernelMode::default(),
-            checkpoint: CheckpointMode::default(),
         });
         specs.push(SoakSpec {
             tag: format!("soak/quiet/{protocol:?}"),
@@ -127,7 +126,6 @@ fn main() {
             max_retries: MAX_RETRIES,
             watchdog: WATCHDOG,
             kernel: KernelMode::default(),
-            checkpoint: CheckpointMode::default(),
         });
     }
     // Latent stuck bits surface at eviction/CRC; give the episode twice
@@ -147,7 +145,6 @@ fn main() {
         max_retries: MAX_RETRIES,
         watchdog: WATCHDOG,
         kernel: KernelMode::default(),
-        checkpoint: CheckpointMode::default(),
     });
 
     let injected_total: usize = specs.iter().map(|s| s.plans.len()).sum();

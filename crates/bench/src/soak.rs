@@ -11,7 +11,7 @@
 use dvmc_consistency::Model;
 use dvmc_faults::FaultPlan;
 use dvmc_sim::{
-    percentile, CheckpointMode, CheckpointStats, KernelMode, Protocol, RecoveryPolicy,
+    percentile, CheckpointStats, KernelMode, Protocol, RecoveryPolicy,
     SafetyNetConfig, ServiceReport, ServiceStop, SystemBuilder, WindowSnapshot,
 };
 use dvmc_types::rng::derive_seed;
@@ -59,8 +59,6 @@ pub struct SoakSpec {
     /// Simulation kernel (legacy every-cycle vs event-scheduled); both
     /// produce bit-identical behaviour, so this only changes speed.
     pub kernel: KernelMode,
-    /// Checkpoint scheme (whole snapshots vs the incremental delta log).
-    pub checkpoint: CheckpointMode,
 }
 
 /// What [`run_soak`] hands back: the full service report plus the
@@ -116,7 +114,6 @@ pub fn run_soak(spec: &SoakSpec, on_window: &mut dyn FnMut(&WindowSnapshot)) -> 
         .watchdog(spec.watchdog)
         .obs(32)
         .kernel(spec.kernel)
-        .checkpoint_mode(spec.checkpoint)
         .build();
     sys.arm_service(spec.window);
     let mut t: Cycle = 0;
@@ -169,7 +166,6 @@ mod tests {
             max_retries: 4,
             watchdog: 60_000,
             kernel: KernelMode::default(),
-            checkpoint: CheckpointMode::default(),
         }
     }
 

@@ -221,6 +221,13 @@ impl<S> CacheArray<S> {
         self.sets * self.ways
     }
 
+    /// Heap bytes one copy of this array occupies (checkpoint
+    /// accounting): every preallocated slot, resident or not, because a
+    /// clone copies them all.
+    pub fn approx_bytes(&self) -> u64 {
+        (self.capacity() * std::mem::size_of::<Option<Line<S>>>()) as u64
+    }
+
     /// Number of sets (conflict classes). Blocks whose addresses map to
     /// the same set index compete for the same ways; the analyzer's
     /// symmetry reduction uses this to decide whether the blocks in play
@@ -328,6 +335,20 @@ mod tests {
         assert_eq!(line.state, Mosi::S);
         assert!(line.ecc_ok());
         assert_eq!(c.len(), 1);
+    }
+
+    /// Checkpoint accounting counts what a clone copies: every slot, so
+    /// filling the array does not change its footprint.
+    #[test]
+    fn approx_bytes_counts_every_preallocated_slot() {
+        let mut c: CacheArray<Mosi> = CacheArray::new(4, 2);
+        let empty = c.approx_bytes();
+        assert_eq!(empty, 8 * std::mem::size_of::<Option<Line<Mosi>>>() as u64);
+        for a in 0..8 {
+            c.insert(BlockAddr(a), filled_block(a), Mosi::M);
+        }
+        assert_eq!(c.len(), 8);
+        assert_eq!(c.approx_bytes(), empty);
     }
 
     #[test]

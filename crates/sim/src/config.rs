@@ -81,19 +81,6 @@ pub enum KernelMode {
     Event,
 }
 
-/// How BER checkpoints capture machine state (DESIGN.md §14).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CheckpointMode {
-    /// Deep-clone the whole machine every interval — the original
-    /// scheme. O(machine) per checkpoint regardless of activity.
-    Snapshot,
-    /// Log-based incremental checkpoints: capture only the parts dirtied
-    /// since the previous interval; rollback reconstructs the machine by
-    /// undo-replay over the delta log. O(activity) per checkpoint.
-    #[default]
-    DeltaLog,
-}
-
 /// How hard the system tries before declaring an error unrecoverable.
 ///
 /// BER recovers transient faults by rolling back and replaying; a
@@ -190,9 +177,7 @@ pub struct SystemConfig {
     /// [`Protection::ber`] is on.
     pub ber: SafetyNetConfig,
     /// End-to-end recovery: `Some` arms rollback/replay on detection —
-    /// checkpoints then carry restorable machine state, in the form
-    /// [`checkpoint`](Self::checkpoint) selects (incremental deltas by
-    /// default, whole snapshots as the reference). `None` (the default)
+    /// checkpoints then carry a whole-machine snapshot. `None` (the default)
     /// keeps BER a pure timing model and stops the run at detection, as
     /// the error-detection experiments expect.
     pub recovery: Option<RecoveryPolicy>,
@@ -216,8 +201,6 @@ pub struct SystemConfig {
     pub obs_capacity: usize,
     /// How the simulation loop advances time.
     pub kernel: KernelMode,
-    /// How BER checkpoints capture machine state.
-    pub checkpoint: CheckpointMode,
 }
 
 impl SystemConfig {
@@ -306,7 +289,6 @@ pub struct SystemBuilder {
     record_commits: bool,
     obs_capacity: usize,
     kernel: KernelMode,
-    checkpoint: CheckpointMode,
 }
 
 impl Default for SystemBuilder {
@@ -333,7 +315,6 @@ impl Default for SystemBuilder {
             record_commits: false,
             obs_capacity: 0,
             kernel: KernelMode::default(),
-            checkpoint: CheckpointMode::default(),
         }
     }
 }
@@ -486,14 +467,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects how BER checkpoints capture machine state (log-based
-    /// incremental deltas by default; `Snapshot` deep-clones the whole
-    /// machine every interval).
-    pub fn checkpoint_mode(mut self, mode: CheckpointMode) -> Self {
-        self.checkpoint = mode;
-        self
-    }
-
     /// The validated [`SystemConfig`] this builder describes, without
     /// building the system — campaign sweeps expand specs into configs
     /// first and construct systems later, on worker threads.
@@ -524,7 +497,6 @@ impl SystemBuilder {
             record_commits: self.record_commits,
             obs_capacity: self.obs_capacity,
             kernel: self.kernel,
-            checkpoint: self.checkpoint,
         };
         cfg.validate()?;
         Ok(cfg)

@@ -15,14 +15,12 @@
 //! cycle loop, [`RunReport`] for results, and [`perturbed_runs`] for the
 //! §5 repetition methodology.
 
-mod checkpoint;
 pub mod config;
 pub mod report;
 pub mod system;
 
 pub use config::{
-    CheckpointMode, ConfigError, KernelMode, Protection, RecoveryPolicy, SystemBuilder,
-    SystemConfig,
+    ConfigError, KernelMode, Protection, RecoveryPolicy, SystemBuilder, SystemConfig,
 };
 pub use dvmc_ber::{BerConfigError, SafetyNetConfig};
 pub use dvmc_coherence::Protocol;

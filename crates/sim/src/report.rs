@@ -61,6 +61,12 @@ pub struct RecoveryReport {
 /// first fault of a burst landing to the machine running clean again.
 /// Soak runs see many of these; `RecoveryReport` summarizes the run's
 /// single episode in the classic one-fault experiments.
+///
+/// Its cycles are on one clock: the machine cycle of the first injection,
+/// advanced by every cycle simulated since, replayed ones included. A
+/// rollback rewinds the machine's clock but not this one, so
+/// `injected_at <= detected_at <= recovered_at`, and the recovery
+/// latency counts the replay.
 #[derive(Clone, Debug)]
 pub struct EpisodeReport {
     /// The faults injected while the episode was open (overlapping
@@ -91,7 +97,7 @@ impl EpisodeReport {
         self.detected_at.map(|d| d.saturating_sub(self.injected_at))
     }
 
-    /// Detection-to-clean latency, when recovered.
+    /// Detection-to-clean latency, replay included, when recovered.
     pub fn recovery_latency(&self) -> Option<Cycle> {
         match (self.detected_at, self.recovered_at) {
             (Some(d), Some(r)) => Some(r.saturating_sub(d)),
@@ -216,28 +222,21 @@ pub fn percentile(samples: &[Cycle], p: u32) -> Option<Cycle> {
 }
 
 /// Checkpoint and rollback cost counters (DESIGN.md §14). All costs are
-/// approximate serialized bytes / cycle counts, deterministic across
-/// kernel modes for a given checkpoint mode.
+/// approximate serialized bytes, deterministic across kernel modes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CheckpointStats {
-    /// Checkpoints captured (whole snapshots or deltas).
+    /// Whole-machine snapshots captured.
     pub snapshots_taken: u64,
     /// Approximate bytes of checkpoint state logged.
     pub bytes_logged: u64,
-    /// Machine parts captured across all checkpoints (a whole snapshot
-    /// counts every part; a delta only what was dirty).
+    /// Machine parts captured across all checkpoints (every snapshot
+    /// captures every part).
     pub parts_captured: u64,
-    /// Evicted deltas folded into the base snapshot (delta-log mode).
-    pub deltas_folded: u64,
     /// Rollbacks performed (recovery plus bench-forced).
     pub rollbacks: u64,
     /// Machine parts restored across all rollbacks (cores, cache
     /// controllers, home controllers, memory arrays, networks).
     pub parts_restored: u64,
-    /// Cycles of inert core history reconstructed by undo-replay catch-up
-    /// during delta-log rollbacks (cost of not having captured clean
-    /// cores every interval).
-    pub undo_replay_cycles: u64,
 }
 
 /// The result of one simulation run.

@@ -1,21 +1,20 @@
-//! Kernel & checkpoint equivalence regression suite.
+//! Kernel equivalence regression suite.
 //!
 //! The event-scheduled kernel is an *optimization*, not a semantic
 //! change: for any configuration it must produce a bit-identical
 //! [`RunReport`] to the legacy every-cycle kernel — same cycle counts,
 //! same detections at the same cycles, same memory digest, same
-//! recovery trajectory. Likewise the delta-log checkpoint scheme must
-//! recover to exactly the state the whole-snapshot scheme recovers to.
-//! These tests pin all of that down with fixed seeds across models,
-//! protocols, and fault categories, plus a proptest sweep over random
-//! configurations.
+//! recovery trajectory. These tests pin that down with fixed seeds
+//! across models, protocols, and fault categories, plus a proptest
+//! sweep over random configurations.
 
 use dvmc_consistency::Model;
 use dvmc_faults::{Fault, FaultPlan};
 use dvmc_sim::{
-    CheckpointMode, KernelMode, Protection, Protocol, RunReport, ServiceStop, SystemBuilder,
-    WindowSnapshot,
+    KernelMode, Protection, Protocol, RecoveryPolicy, RunReport, SafetyNetConfig, ServiceStop,
+    SystemBuilder, WindowSnapshot,
 };
+use dvmc_types::rng::derive_seed;
 use dvmc_types::NodeId;
 use dvmc_workloads::spec::WorkloadKind;
 use proptest::prelude::*;
@@ -26,21 +25,11 @@ fn fingerprint(report: &RunReport) -> String {
     format!("{report:?}")
 }
 
-/// Fingerprint with the checkpoint cost counters zeroed — used when
-/// comparing *across* checkpoint schemes, whose whole point is different
-/// capture/restore costs for the same machine behaviour.
-fn fingerprint_sans_costs(report: &RunReport) -> String {
-    let mut r = report.clone();
-    r.checkpoint = Default::default();
-    format!("{r:?}")
-}
-
 /// Node count of the [`build`] configurations.
 const NODES: u64 = 2;
 
 fn builder(
     kernel: KernelMode,
-    checkpoint: CheckpointMode,
     model: Model,
     protocol: Protocol,
     seed: u64,
@@ -55,8 +44,7 @@ fn builder(
         .watchdog(100_000)
         .obs(32)
         .seed(seed)
-        .kernel(kernel)
-        .checkpoint_mode(checkpoint);
+        .kernel(kernel);
     if let Some(plan) = fault {
         b = b.fault(plan);
     }
@@ -65,13 +53,12 @@ fn builder(
 
 fn build(
     kernel: KernelMode,
-    checkpoint: CheckpointMode,
     model: Model,
     protocol: Protocol,
     seed: u64,
     fault: Option<FaultPlan>,
 ) -> dvmc_sim::System {
-    builder(kernel, checkpoint, model, protocol, seed, fault).build()
+    builder(kernel, model, protocol, seed, fault).build()
 }
 
 /// Every model × protocol, fault-free and with a recovering transient:
@@ -91,8 +78,7 @@ fn event_kernel_matches_legacy_bit_for_bit() {
         for protocol in [Protocol::Directory, Protocol::Snooping] {
             for fault in faults {
                 let run = |kernel| {
-                    build(kernel, CheckpointMode::DeltaLog, model, protocol, 7, fault)
-                        .run_to_completion(5_000_000)
+                    build(kernel, model, protocol, 7, fault).run_to_completion(5_000_000)
                 };
                 let legacy = run(KernelMode::Legacy);
                 let event = run(KernelMode::Event);
@@ -108,10 +94,14 @@ fn event_kernel_matches_legacy_bit_for_bit() {
 
 /// Every fault category that exercises a distinct rollback path (write
 /// buffer, cache data, memory data, interconnect, LSQ, persistent
-/// stuck-at) recovers identically under both kernels.
+/// stuck-at) recovers identically under both kernels, on both protocols
+/// (so the snooping address network is restored too), and every
+/// checkpoint captures — and every rollback restores — every machine
+/// part. The last input runs long enough for the log to wrap before its
+/// fault lands.
 #[test]
 fn fault_categories_recover_identically_across_kernels() {
-    let faults = [
+    let mut cases: Vec<(Protocol, Fault, u64, u64)> = [
         Fault::WbDropStore { node: NodeId(0) },
         Fault::CacheBitFlip { node: NodeId(1) },
         Fault::MemoryBitFlip { node: NodeId(0) },
@@ -119,181 +109,138 @@ fn fault_categories_recover_identically_across_kernels() {
         Fault::ReorderMessage { delay: 40 },
         Fault::LsqWrongForward { node: NodeId(1) },
         Fault::CacheStuckBit { node: NodeId(1) },
-    ];
-    for fault in faults {
-        let plan = FaultPlan {
-            at_cycle: 6_000,
-            fault,
-        };
-        let run = |kernel| {
-            build(
-                kernel,
-                CheckpointMode::DeltaLog,
-                Model::Tso,
-                Protocol::Directory,
-                5,
-                Some(plan),
-            )
-            .run_to_completion(5_000_000)
-        };
-        assert_eq!(
-            fingerprint(&run(KernelMode::Legacy)),
-            fingerprint(&run(KernelMode::Event)),
-            "{fault:?}"
-        );
-    }
-}
-
-/// The delta-log scheme restores exactly the machine the whole-snapshot
-/// scheme restores: same post-rollback trajectory, same digest, same
-/// report — only the capture/restore cost counters may differ. Both
-/// protocols run, so the snooping address network is compared too, and
-/// at least one delta-log run rolls back after folding evicted deltas
-/// into its base image.
-#[test]
-fn delta_log_rollback_matches_whole_snapshot_rollback() {
-    let mut total_rollbacks = 0;
-    let mut folded_and_rolled_back = false;
+    ]
+    .into_iter()
+    .map(|fault| (Protocol::Directory, fault, 6_000, 16))
+    .collect();
     for protocol in [Protocol::Directory, Protocol::Snooping] {
-        // Every machine part: per node a core, a cache controller, a home
-        // controller and a home memory; the data network; the address
-        // network under snooping.
-        let parts = 4 * NODES + 1 + u64::from(protocol == Protocol::Snooping);
-        // (fault, injection cycle, transactions per thread). The last
-        // input runs long enough for the log to evict — and fold — deltas
-        // before the fault lands.
         for (fault, at_cycle, txns) in [
             (Fault::WbCorruptValue { node: NodeId(1) }, 6_000, 16),
             (Fault::MemoryBitFlip { node: NodeId(0) }, 6_000, 16),
             (Fault::CacheStuckBit { node: NodeId(1) }, 6_000, 16),
             (Fault::WbCorruptValue { node: NodeId(0) }, 120_000, 320),
         ] {
-            let plan = FaultPlan { at_cycle, fault };
-            let run = |checkpoint| {
-                builder(
-                    KernelMode::Event,
-                    checkpoint,
-                    Model::Tso,
-                    protocol,
-                    5,
-                    Some(plan),
-                )
+            cases.push((protocol, fault, at_cycle, txns));
+        }
+    }
+    let mut total_rollbacks = 0;
+    for (protocol, fault, at_cycle, txns) in cases {
+        // Per node a core, a cache controller, a home controller and a
+        // home memory; the data network; the address network under
+        // snooping.
+        let parts = 4 * NODES + 1 + u64::from(protocol == Protocol::Snooping);
+        let plan = FaultPlan { at_cycle, fault };
+        let run = |kernel| {
+            builder(kernel, Model::Tso, protocol, 5, Some(plan))
                 .workload(WorkloadKind::Jbb, txns)
                 .build()
                 .run_to_completion(5_000_000)
-            };
-            let whole = run(CheckpointMode::Snapshot);
-            let delta = run(CheckpointMode::DeltaLog);
-            let case = format!("{protocol:?} {fault:?}");
-            assert_eq!(
-                fingerprint_sans_costs(&whole),
-                fingerprint_sans_costs(&delta),
-                "{case}"
-            );
-            // The schemes really did take different capture paths. (On a
-            // busy run like this one a delta can even exceed a snapshot —
-            // everything is dirty plus per-delta overhead; the size win is
-            // asserted on quiet traffic below.)
-            assert!(whole.checkpoint.snapshots_taken > 0);
-            assert_eq!(
-                delta.checkpoint.rollbacks, whole.checkpoint.rollbacks,
-                "{case}: same behaviour must mean same rollback count"
-            );
-            // A whole snapshot captures and restores every part.
-            assert_eq!(
-                whole.checkpoint.parts_captured,
-                whole.checkpoint.snapshots_taken * parts,
-                "{case}"
-            );
-            assert_eq!(
-                whole.checkpoint.parts_restored,
-                whole.checkpoint.rollbacks * parts,
-                "{case}"
-            );
-            if delta.checkpoint.rollbacks > 0 {
-                assert!(delta.checkpoint.parts_restored > 0, "{case}");
-            }
-            folded_and_rolled_back |=
-                delta.checkpoint.deltas_folded > 0 && delta.checkpoint.rollbacks > 0;
-            total_rollbacks += delta.checkpoint.rollbacks;
-        }
+        };
+        let legacy = run(KernelMode::Legacy);
+        let event = run(KernelMode::Event);
+        let case = format!("{protocol:?} {fault:?} at {at_cycle}");
+        assert_eq!(fingerprint(&legacy), fingerprint(&event), "{case}");
+        let c = event.checkpoint;
+        assert_eq!(c.parts_captured, c.snapshots_taken * parts, "{case}");
+        assert_eq!(c.parts_restored, c.rollbacks * parts, "{case}");
+        total_rollbacks += c.rollbacks;
     }
     assert!(total_rollbacks > 0, "no fault in the set exercised rollback");
-    assert!(
-        folded_and_rolled_back,
-        "no delta-log run rolled back after folding an evicted delta"
-    );
-}
-
-/// On quiet open-loop traffic — the deployment scenario the delta log
-/// exists for — incremental checkpoints log meaningfully fewer bytes
-/// than whole snapshots. The floor is set by what *periodically* mutates
-/// regardless of traffic: CET/MET scrubs dirty every checker each
-/// interval and BER coordination traffic dirties the data network, so
-/// the win comes from skipping clean home-memory arrays (the bulk of
-/// machine state).
-#[test]
-fn delta_log_is_smaller_on_quiet_traffic() {
-    let run = |checkpoint: CheckpointMode| {
-        let mut sys = SystemBuilder::new()
-            .nodes(2)
-            .workload(WorkloadKind::Service { mean_gap: 20_000 }, u64::MAX / 2)
-            .recovery(Default::default())
-            .watchdog(200_000)
-            .seed(3)
-            .checkpoint_mode(checkpoint)
-            .build();
-        sys.arm_service(50_000);
-        sys.run_service_until(400_000, &mut |_| {});
-        sys.checkpoint_stats()
-    };
-    let whole = run(CheckpointMode::Snapshot);
-    let delta = run(CheckpointMode::DeltaLog);
-    assert_eq!(whole.snapshots_taken, delta.snapshots_taken);
-    assert!(
-        delta.bytes_logged * 3 < whole.bytes_logged * 2,
-        "quiet deltas should log at least a third fewer bytes: {} vs {}",
-        delta.bytes_logged,
-        whole.bytes_logged
-    );
 }
 
 /// Service mode under an open-loop workload and a fault storm: both
 /// kernels stream identical window snapshots (including the queueing
-/// delay percentiles) and identical final service reports.
+/// delay percentiles) and identical final service reports. Every episode
+/// reads `injected_at <= detected_at <= recovered_at`, and every logged
+/// checkpoint holds the machine at its stamp.
+///
+/// The second input is an 8-node snooping storm, shrunk from a benchmark
+/// segment, whose escalated episode closes at cycle 145,942. Closing
+/// narrowed the widened checkpoint cadence and used to leave its next
+/// boundary at 140,000, in the past, so the next tick logged a
+/// checkpoint stamped 140,000 holding the machine at 145,942. That
+/// episode also re-detects on replay at 145,941, before its first
+/// detection at 157,781, which put its replay-time recovery before its
+/// detection.
 #[test]
 fn service_mode_storm_matches_across_kernels() {
-    let run = |kernel: KernelMode| {
-        let mut sys = SystemBuilder::new()
-            .nodes(2)
-            .workload(WorkloadKind::Service { mean_gap: 400 }, u64::MAX / 2)
-            .recovery(Default::default())
-            .watchdog(60_000)
-            .obs(32)
-            .seed(11)
-            .kernel(kernel)
-            .storm(vec![
-                FaultPlan {
-                    at_cycle: 6_000,
-                    fault: Fault::WbCorruptValue { node: NodeId(1) },
-                },
-                FaultPlan {
-                    at_cycle: 90_000,
-                    fault: Fault::WbDropStore { node: NodeId(0) },
-                },
-            ])
-            .build();
-        sys.arm_service(25_000);
-        let mut windows: Vec<WindowSnapshot> = Vec::new();
-        let stop = sys.run_service_until(250_000, &mut |snap| windows.push(*snap));
-        assert_eq!(stop, ServiceStop::Horizon);
-        let svc = sys.finish_service();
-        (format!("{windows:?}"), format!("{svc:?}"))
-    };
-    let legacy = run(KernelMode::Legacy);
-    let event = run(KernelMode::Event);
-    assert_eq!(legacy.0, event.0, "window streams diverge");
-    assert_eq!(legacy.1, event.1, "service reports diverge");
+    let plan = |at_cycle, fault| FaultPlan { at_cycle, fault };
+    let two_node = SystemBuilder::new()
+        .nodes(2)
+        .workload(WorkloadKind::Service { mean_gap: 400 }, u64::MAX / 2)
+        .recovery(Default::default())
+        .watchdog(60_000)
+        .obs(32)
+        .seed(11)
+        .storm(vec![
+            plan(6_000, Fault::WbCorruptValue { node: NodeId(1) }),
+            plan(90_000, Fault::WbDropStore { node: NodeId(0) }),
+        ]);
+    let seed = derive_seed(42, 11);
+    let eight_node = SystemBuilder::new()
+        .nodes(8)
+        .protocol(Protocol::Snooping)
+        .model(Model::Tso)
+        .workload(WorkloadKind::Service { mean_gap: 2_000 }, u64::MAX / 2)
+        .seed(seed)
+        .perturbation(derive_seed(seed, 0x50AC))
+        .ber_config(SafetyNetConfig {
+            checkpoint_interval: 20_000,
+            validation_latency: 10_000,
+            max_checkpoints: 150,
+            coordination_bytes: 16,
+        })
+        .recovery(RecoveryPolicy {
+            max_retries: 4,
+            backoff_factor: 2,
+        })
+        .watchdog(100_000)
+        .obs(32)
+        .storm(vec![
+            plan(73_095, Fault::MisrouteMessage { to: NodeId(1) }),
+            plan(73_314, Fault::MemoryBitFlip { node: NodeId(3) }),
+            plan(130_091, Fault::WbDropStore { node: NodeId(3) }),
+            plan(135_017, Fault::DropMessage),
+            plan(135_104, Fault::WbReorderStores { node: NodeId(1) }),
+            plan(135_235, Fault::CacheBitFlip { node: NodeId(7) }),
+            plan(141_141, Fault::MisrouteMessage { to: NodeId(0) }),
+            plan(150_835, Fault::LsqWrongForward { node: NodeId(3) }),
+            plan(151_059, Fault::WbDropStore { node: NodeId(1) }),
+            plan(151_857, Fault::WbCorruptValue { node: NodeId(7) }),
+        ]);
+    for (input, builder, window, horizon) in
+        [(0, two_node, 25_000, 250_000), (1, eight_node, 100_000, 160_000)]
+    {
+        let run = |kernel: KernelMode| {
+            let mut sys = builder.clone().kernel(kernel).build();
+            sys.arm_service(window);
+            let mut windows: Vec<WindowSnapshot> = Vec::new();
+            let stop = sys.run_service_until(horizon, &mut |snap| windows.push(*snap));
+            assert_eq!(stop, ServiceStop::Horizon, "input {input}");
+            for (stamp, clock) in sys.checkpoint_clocks() {
+                assert_eq!(stamp, clock, "input {input}: checkpoint stamped {stamp} holds cycle {clock}");
+            }
+            let svc = sys.finish_service();
+            for ep in &svc.episodes {
+                let ordered = ep.detected_at.is_none_or(|d| {
+                    ep.injected_at <= d && ep.recovered_at.is_none_or(|r| d <= r)
+                });
+                assert!(ordered, "input {input}: episode cycles out of order: {ep:?}");
+            }
+            if input == 1 {
+                assert!(
+                    svc.episodes.iter().any(|ep| ep.attempts > 1 && ep.recovered_at.is_some()),
+                    "the input must escalate an episode and then close it: {:?}",
+                    svc.episodes
+                );
+            }
+            (format!("{windows:?}"), format!("{svc:?}"))
+        };
+        let legacy = run(KernelMode::Legacy);
+        let event = run(KernelMode::Event);
+        assert_eq!(legacy.0, event.0, "input {input}: window streams diverge");
+        assert_eq!(legacy.1, event.1, "input {input}: service reports diverge");
+    }
 }
 
 /// The event kernel actually skips work on a quiet open-loop workload —
@@ -348,7 +295,6 @@ proptest! {
                 .watchdog(100_000)
                 .seed(seed)
                 .kernel(kernel)
-                .checkpoint_mode(CheckpointMode::DeltaLog)
                 .fault(FaultPlan { at_cycle, fault })
                 .build()
                 .run_to_completion(2_500_000)
